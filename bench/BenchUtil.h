@@ -70,7 +70,7 @@ void sweepWorkload(const std::string &Name, const Module &M,
                    PerWorkloadT PerWorkload) {
   Pipeline P = PipelineBuilder::standard();
   PipelineContext Ctx(M);
-  Ctx.setDiskCache(defaultStageCache(), Name);
+  Ctx.setStageCache(defaultStageCache(), Name);
   for (size_t K = 0; K != Configs.size(); ++K) {
     Ctx.setConfig(Configs[K]);
     PipelineReport Report = P.run(Ctx);

@@ -178,8 +178,7 @@ BENCHMARK(BM_ExecEngineDecode);
 void BM_ExecEngineVsTreeWalk(benchmark::State &State) {
   auto M = suiteModule();
   // 0 = tree-walk reference, 1 = decoded engine (superinstruction fusion
-  // on, the shipping configuration), 2 = decoded engine with fusion off —
-  // the delta between 1 and 2 is the fusion win in isolation.
+  // on, as every driver runs it).
   const int Mode = int(State.range(0));
   uint64_t Instructions = 0;
   for (auto _ : State) {
@@ -187,15 +186,6 @@ void BM_ExecEngineVsTreeWalk(benchmark::State &State) {
     if (Mode == 1) {
       Interpreter I(*M); // decode served from the cache after run one
       R = I.run();
-    } else if (Mode == 2) {
-      auto Prog = DecodeCache::global().get(*M, DecodeOptions{false});
-      PrivateExecMemory Mem(*Prog);
-      ExecContext Ctx;
-      Ctx.pushFrame(*Prog->findFunction("main"));
-      ExecStop Stop = runEngine(*Prog, Mem, Ctx, DefaultExecHooks());
-      R.Ok = Stop == ExecStop::Returned;
-      R.ReturnValue = Ctx.Returned;
-      R.Instructions = Ctx.Steps;
     } else {
       TreeWalkInterpreter I(*M);
       R = I.run();
@@ -214,8 +204,7 @@ void BM_ExecEngineVsTreeWalk(benchmark::State &State) {
 }
 BENCHMARK(BM_ExecEngineVsTreeWalk)
     ->Arg(0) // tree-walk baseline
-    ->Arg(1) // decoded engine, fused
-    ->Arg(2) // decoded engine, fusion disabled
+    ->Arg(1) // decoded engine
     ->Unit(benchmark::kMillisecond);
 
 void BM_PipelineStringParse(benchmark::State &State) {

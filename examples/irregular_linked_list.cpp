@@ -13,9 +13,9 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "driver/HelixDriver.h"
 #include "helix/HelixTransform.h"
 #include "ir/Clone.h"
+#include "pipeline/PipelineBuilder.h"
 #include "runtime/ThreadedRuntime.h"
 #include "sim/TraceCollector.h"
 #include "workloads/WorkloadBuilder.h"
@@ -87,7 +87,7 @@ int main() {
   // the pointer chase (serial chain + per-signal latency) while keeping
   // the histogram.
   PipelineConfig Config;
-  PipelineReport Report = runHelixPipeline(*M, Config);
+  PipelineReport Report = PipelineBuilder::standard().run(*M, Config);
   std::printf("pipeline (6 cores)  : speedup %.2fx, %zu of %u candidate "
               "loops chosen\n",
               Report.Speedup, Report.Loops.size(), Report.NumCandidates);

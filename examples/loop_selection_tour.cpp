@@ -11,7 +11,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "driver/HelixDriver.h"
+#include "pipeline/PipelineBuilder.h"
 #include "workloads/WorkloadBuilder.h"
 
 #include <cstdio>
@@ -31,7 +31,7 @@ int main(int argc, char **argv) {
   for (double S : {4.0, 110.0}) {
     PipelineConfig Config;
     Config.Selection.SignalCycles = S;
-    PipelineReport R = runHelixPipeline(*M, Config);
+    PipelineReport R = PipelineBuilder::standard().run(*M, Config);
     if (!R.Ok) {
       std::printf("pipeline failed: %s\n", R.Error.c_str());
       return 1;

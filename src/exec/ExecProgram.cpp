@@ -110,8 +110,7 @@ uint64_t fuseBlock(DecodedInst *Code, uint32_t Begin, uint32_t End) {
 
 } // namespace
 
-ExecCodeBody::ExecCodeBody(const Module &M, DecodeOptions Options)
-    : Opts(Options) {
+ExecCodeBody::ExecCodeBody(const Module &M) {
   Fingerprint = ExecProgram::fingerprintModule(M);
 
   // Memory layout: identical for every engine — address 0 reserved,
@@ -198,20 +197,18 @@ ExecCodeBody::ExecCodeBody(const Module &M, DecodeOptions Options)
 
     // Pass 3: superinstruction fusion, block by block (a pair never
     // crosses a block boundary, so a pair tail is never a branch target).
-    if (Opts.Fuse) {
-      uint32_t Begin = 0;
-      for (unsigned BI = 0, BE = F->numBlocks(); BI != BE; ++BI) {
-        uint32_t End = Begin + uint32_t(F->block(BI)->size());
-        FusedPairs += fuseBlock(DF.Code.data(), Begin, End);
-        Begin = End;
-      }
+    uint32_t Begin = 0;
+    for (unsigned BI = 0, BE = F->numBlocks(); BI != BE; ++BI) {
+      uint32_t End = Begin + uint32_t(F->block(BI)->size());
+      FusedPairs += fuseBlock(DF.Code.data(), Begin, End);
+      Begin = End;
     }
 
     // Pass 4: cycle prefix sums over the flat code array. Fusion rewrites
-    // dispatch keys only, never per-instruction cycle costs, so one table
-    // serves both decode variants. The engine charges a straight-line
-    // segment [A, B) in a single subtraction at the segment's end instead
-    // of accumulating per instruction in the dispatch loop.
+    // dispatch keys only, never per-instruction cycle costs. The engine
+    // charges a straight-line segment [A, B) in a single subtraction at
+    // the segment's end instead of accumulating per instruction in the
+    // dispatch loop.
     DF.CyclePrefix.resize(DF.Code.size() + 1);
     uint64_t Sum = 0;
     for (size_t K = 0, E = DF.Code.size(); K != E; ++K) {
@@ -230,8 +227,8 @@ ExecCodeBody::ExecCodeBody(const Module &M, DecodeOptions Options)
 // Program instances
 //===----------------------------------------------------------------------===//
 
-ExecProgram::ExecProgram(const Module &M, DecodeOptions Opts)
-    : M(&M), Body(std::make_shared<const ExecCodeBody>(M, Opts)) {
+ExecProgram::ExecProgram(const Module &M)
+    : M(&M), Body(std::make_shared<const ExecCodeBody>(M)) {
   bindInstanceTables();
 }
 
@@ -385,21 +382,19 @@ DecodeCache &DecodeCache::global() {
   return Cache;
 }
 
-std::shared_ptr<const ExecProgram> DecodeCache::get(const Module &M,
-                                                    DecodeOptions Opts) {
+std::shared_ptr<const ExecProgram> DecodeCache::get(const Module &M) {
   uint64_t FP = ExecProgram::fingerprintModule(M);
-  const unsigned V = Opts.Fuse ? 1 : 0;
   std::shared_ptr<const ExecCodeBody> Body;
   {
     std::lock_guard<std::mutex> Lock(Mutex);
-    auto It = Entries[V].find(&M);
-    if (It != Entries[V].end() && It->second.Uid == M.uid() &&
+    auto It = Entries.find(&M);
+    if (It != Entries.end() && It->second.Uid == M.uid() &&
         It->second.Fingerprint == FP) {
       ++Hits;
       return It->second.Prog;
     }
-    auto BIt = Bodies[V].find(FP);
-    if (BIt != Bodies[V].end())
+    auto BIt = Bodies.find(FP);
+    if (BIt != Bodies.end())
       Body = BIt->second;
   }
 
@@ -410,7 +405,7 @@ std::shared_ptr<const ExecProgram> DecodeCache::get(const Module &M,
   obs::TraceSpan DecodeSpan("decode", "exec");
   bool BuiltBody = false;
   if (!Body) {
-    Body = std::make_shared<const ExecCodeBody>(M, Opts);
+    Body = std::make_shared<const ExecCodeBody>(M);
     BuiltBody = true;
   }
   auto Prog = std::make_shared<const ExecProgram>(M, Body);
@@ -418,40 +413,36 @@ std::shared_ptr<const ExecProgram> DecodeCache::get(const Module &M,
   std::lock_guard<std::mutex> Lock(Mutex);
   if (BuiltBody) {
     ++Decodes;
-    if (Bodies[V].size() >= MaxEntries && !Bodies[V].count(FP)) {
-      Bodies[V].erase(Bodies[V].begin()); // arbitrary victim
+    if (Bodies.size() >= MaxEntries && !Bodies.count(FP)) {
+      Bodies.erase(Bodies.begin()); // arbitrary victim
       ++Evictions;
     }
-    Bodies[V][FP] = Body;
+    Bodies[FP] = Body;
   } else {
     ++BodyHits;
   }
-  if (Entries[V].size() >= MaxEntries && !Entries[V].count(&M)) {
-    Entries[V].erase(Entries[V].begin()); // users hold shared_ptrs
+  if (Entries.size() >= MaxEntries && !Entries.count(&M)) {
+    Entries.erase(Entries.begin()); // users hold shared_ptrs
     ++Evictions;
   }
-  Entries[V][&M] = {M.uid(), FP, Prog};
+  Entries[&M] = {M.uid(), FP, Prog};
   return Prog;
 }
 
 void DecodeCache::invalidate(const Module &M) {
   std::lock_guard<std::mutex> Lock(Mutex);
-  for (unsigned V = 0; V != 2; ++V) {
-    auto It = Entries[V].find(&M);
-    if (It == Entries[V].end())
-      continue;
-    // Drop the body decoded from this module too: invalidate means the
-    // module mutated, and a later get() must re-decode rather than rebind
-    // the stale shape. Other modules sharing the shape simply re-decode.
-    Bodies[V].erase(It->second.Fingerprint);
-    Entries[V].erase(It);
-  }
+  auto It = Entries.find(&M);
+  if (It == Entries.end())
+    return;
+  // Drop the body decoded from this module too: invalidate means the
+  // module mutated, and a later get() must re-decode rather than rebind
+  // the stale shape. Other modules sharing the shape simply re-decode.
+  Bodies.erase(It->second.Fingerprint);
+  Entries.erase(It);
 }
 
 void DecodeCache::clear() {
   std::lock_guard<std::mutex> Lock(Mutex);
-  for (auto &Map : Entries)
-    Map.clear();
-  for (auto &Map : Bodies)
-    Map.clear();
+  Entries.clear();
+  Bodies.clear();
 }

@@ -23,12 +23,14 @@
 ///     IR identity (Instruction/BasicBlock/Function pointers for
 ///     observers, sync-op ownership and trap diagnostics).
 ///
-/// Decode optionally peephole-fuses hot instruction pairs (cmp+condbr,
-/// add+load, add+store, adjacent sync ops) into superinstructions: the
-/// fused head gets a fused XOpcode dispatch key while every original
+/// Decode peephole-fuses hot instruction pairs (cmp+condbr, add+load,
+/// add+store, adjacent sync ops, integer ALU pairs) into superinstructions:
+/// the fused head gets a fused XOpcode dispatch key while every original
 /// field — including the untouched pair tail at PC+1 — stays in place, so
-/// PCs, block boundaries and branch targets are unchanged and the fused
-/// and unfused programs are layout-identical.
+/// PCs, block boundaries and branch targets are exactly those of the
+/// module's block layout. Every driver, observed or not, runs this one
+/// decode: fused handlers report one observer event per original
+/// instruction.
 ///
 /// Program instances keep pointers into their source Module, so the Module
 /// must outlive the ExecProgram and must not be mutated while one is in
@@ -61,8 +63,7 @@ inline constexpr OperandRef ConstOperandBit = OperandRef(1) << 31;
 
 /// The dispatch keys of the engine: every Opcode (numerically mirrored, so
 /// an unfused instruction's key is just its opcode) plus the fused
-/// superinstructions decode synthesizes. The X-macro also generates the
-/// computed-goto jump table in ExecEngine.h — keep the two lists and the
+/// superinstructions decode synthesizes. Keep the plain list and the
 /// Opcode enum order in lock step.
 #define HELIX_XOPCODE_PLAIN_LIST(X)                                            \
   X(Add) X(Sub) X(Mul) X(Div) X(Rem) X(And) X(Or) X(Xor) X(Shl) X(Shr)         \
@@ -105,14 +106,6 @@ enum class XOpcode : uint8_t {
 #undef HELIX_DEFINE_XOPCODE
 };
 
-inline constexpr unsigned NumXOpcodes = []() constexpr {
-  unsigned N = 0;
-#define HELIX_COUNT_XOPCODE(X) ++N;
-  HELIX_XOPCODE_LIST(HELIX_COUNT_XOPCODE)
-#undef HELIX_COUNT_XOPCODE
-  return N;
-}();
-
 /// The plain block mirrors Opcode numerically: XOpcode(uint8_t(Op)) is the
 /// unfused dispatch key of Op.
 static_assert(uint8_t(XOpcode::Add) == uint8_t(Opcode::Add) &&
@@ -121,9 +114,6 @@ static_assert(uint8_t(XOpcode::Add) == uint8_t(Opcode::Add) &&
               "XOpcode plain block must mirror Opcode");
 
 inline constexpr XOpcode plainKey(Opcode Op) { return XOpcode(uint8_t(Op)); }
-inline constexpr bool isFusedKey(XOpcode X) {
-  return uint8_t(X) > uint8_t(XOpcode::Nop);
-}
 
 /// Index of \p Op in the HELIX_ALUPAIR_OPS grid, or -1 when the opcode is
 /// not eligible for generic ALU pair fusion (it may trap, or is not an
@@ -185,19 +175,6 @@ struct DecodedInst {
   int64_t Imm = 0;          ///< Alloca size, Wait/Signal segment id
 };
 
-/// Decode-time options. Part of the content-addressed cache key: fused and
-/// unfused bodies of the same module coexist.
-struct DecodeOptions {
-  /// Peephole-fuse hot instruction pairs into superinstructions. The fused
-  /// program is layout-identical to the unfused one and fires observer
-  /// callbacks once per original instruction, but drivers that need a
-  /// strictly per-instruction event stream (trace collection, profiling,
-  /// dependence witnessing) run the unfused program by convention.
-  bool Fuse = true;
-
-  bool operator==(const DecodeOptions &O) const { return Fuse == O.Fuse; }
-};
-
 /// The shareable decoded code of one function: instructions laid out back
 /// to back in block-layout order (the entry block first, so the entry PC
 /// is 0). No IR pointers.
@@ -220,16 +197,15 @@ struct DecodedFunctionBody {
 
 /// The pointer-free decoded module: everything execution semantics depend
 /// on and nothing tied to one Module allocation. Content addressed by the
-/// structural fingerprint plus the decode options.
+/// structural fingerprint.
 struct ExecCodeBody {
-  ExecCodeBody(const Module &M, DecodeOptions Opts);
+  explicit ExecCodeBody(const Module &M);
 
   std::vector<DecodedFunctionBody> Functions;
   std::vector<Value> Consts;
   std::vector<uint64_t> GlobalBase;
   uint64_t GlobalEnd = 1;
   uint64_t Fingerprint = 0;
-  DecodeOptions Opts;
   /// Instruction pairs fused into superinstructions at decode time.
   uint64_t FusedPairs = 0;
 };
@@ -259,7 +235,7 @@ struct DecodedFunction {
 class ExecProgram {
 public:
   /// Decodes \p M from scratch (body + instance tables).
-  explicit ExecProgram(const Module &M, DecodeOptions Opts = {});
+  explicit ExecProgram(const Module &M);
   /// Binds an existing (content-addressed) body to \p M. \p Body must have
   /// been decoded from a module with the same structural fingerprint.
   ExecProgram(const Module &M, std::shared_ptr<const ExecCodeBody> Body);
@@ -289,7 +265,6 @@ public:
 
   /// The structural fingerprint of the module at decode time.
   uint64_t fingerprint() const { return Body->Fingerprint; }
-  const DecodeOptions &options() const { return Body->Opts; }
   /// Instruction pairs fused into superinstructions at decode time.
   uint64_t fusedPairs() const { return Body->FusedPairs; }
 
@@ -310,13 +285,13 @@ private:
 
 /// Process-wide decode cache, content addressed on two levels:
 ///
-///   - program instances keyed on (module address, decode options), with
-///     the module's unique id and structural fingerprint as guards (a
-///     recycled allocation never resurrects a stale decode; in-place
-///     mutation forces a re-decode);
-///   - code bodies keyed on (structural fingerprint, decode options), so a
-///     *different* module with the same shape reuses the heavy decode and
-///     only rebuilds the thin instance tables (a BodyHit).
+///   - program instances keyed on the module address, with the module's
+///     unique id and structural fingerprint as guards (a recycled
+///     allocation never resurrects a stale decode; in-place mutation
+///     forces a re-decode);
+///   - code bodies keyed on the structural fingerprint, so a *different*
+///     module with the same shape reuses the heavy decode and only
+///     rebuilds the thin instance tables (a BodyHit).
 ///
 /// Bounded; eviction only drops the cache's own reference — running
 /// engines keep their program (and through it the body) alive.
@@ -337,10 +312,9 @@ public:
   /// The process-wide instance every driver uses by default.
   static DecodeCache &global();
 
-  /// \returns the decoded program of \p M under \p Opts, decoding the code
-  /// body at most once per (fingerprint, options). Thread-safe.
-  std::shared_ptr<const ExecProgram> get(const Module &M,
-                                         DecodeOptions Opts = {});
+  /// \returns the decoded program of \p M, decoding the code body at most
+  /// once per fingerprint. Thread-safe.
+  std::shared_ptr<const ExecProgram> get(const Module &M);
 
   /// Drops any entry for \p M (call after mutating a module an engine ran).
   void invalidate(const Module &M);
@@ -366,11 +340,9 @@ private:
   };
   static constexpr size_t MaxEntries = 64;
 
-  /// Per decode-option variant (index: Opts.Fuse), so fused and unfused
-  /// decodes of one module coexist.
   mutable std::mutex Mutex;
-  std::unordered_map<const Module *, Entry> Entries[2];
-  std::unordered_map<uint64_t, std::shared_ptr<const ExecCodeBody>> Bodies[2];
+  std::unordered_map<const Module *, Entry> Entries;
+  std::unordered_map<uint64_t, std::shared_ptr<const ExecCodeBody>> Bodies;
   std::atomic<uint64_t> Decodes{0}, Hits{0}, Evictions{0}, BodyHits{0};
 };
 

@@ -72,7 +72,7 @@ public:
   static std::unique_ptr<Stage> createStage(const std::string &Name);
   /// Names of all registered standard stages, in canonical order.
   static const std::vector<std::string> &standardStageNames();
-  /// The full eight-stage pipeline (what runHelixPipeline runs).
+  /// The full eight-stage pipeline.
   static Pipeline standard();
 
   /// Appends a custom stage instance.

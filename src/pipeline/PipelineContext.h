@@ -125,11 +125,6 @@ public:
     this->Cache = Cache;
     this->WorkloadKey = std::move(WorkloadKey);
   }
-  /// Compatibility spelling from when the only implementation was the disk
-  /// cache; bench harnesses and older tests still use it.
-  void setDiskCache(StageCache *Cache, std::string WorkloadKey) {
-    setStageCache(Cache, std::move(WorkloadKey));
-  }
   StageCache *stageCache() const { return Cache; }
   const std::string &workloadKey() const { return WorkloadKey; }
 

@@ -5,15 +5,7 @@
 using namespace helix;
 
 Interpreter::Interpreter(Module &M)
-    : M(&M), Prog(DecodeCache::global().get(M)), Mem(*Prog) {}
-
-const ExecProgram &Interpreter::activeProgram() {
-  if (!Obs)
-    return *Prog;
-  if (!UnfusedProg)
-    UnfusedProg = DecodeCache::global().get(*M, DecodeOptions{false});
-  return *UnfusedProg;
-}
+    : Prog(DecodeCache::global().get(M)), Mem(*Prog) {}
 
 const Function *Interpreter::currentFunction() const {
   return Ctx.Frames.empty() ? nullptr : Ctx.Frames.back().F->Src;
@@ -66,7 +58,7 @@ void Interpreter::storeSlot(uint64_t Addr, Value V) {
 ExecResult Interpreter::run(const std::string &Name,
                             const std::vector<Value> &Args) {
   ExecResult R;
-  const ExecProgram &P = activeProgram();
+  const ExecProgram &P = *Prog;
   const DecodedFunction *DF = P.findFunction(Name);
   if (!DF) {
     R.Error = "no function @" + Name;

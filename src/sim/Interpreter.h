@@ -5,7 +5,8 @@
 /// thin wrapper that decodes its module once (through the process-wide
 /// DecodeCache) and runs the shared dispatch loop over private memory. The
 /// profiler, the trace collector feeding the CMP timing simulator, and the
-/// differential-correctness tests all attach here as ExecObservers.
+/// differential-correctness tests all attach here as ExecObservers; an
+/// observed run executes the same fused decode as an unobserved one.
 /// Wait/Signal/IterStart execute as (cheap) no-ops in sequential
 /// interpretation, which is exactly the sequential-version semantics that
 /// HELIX Step 9 relies on.
@@ -42,9 +43,8 @@ public:
 
   /// Caps run length (defence against accidental endless loops).
   void setMaxInstructions(uint64_t Max) { MaxInstructions = Max; }
-  /// Attaching an observer switches run() to the unfused decode of the
-  /// module (cached like the fused one), so the observer sees a strictly
-  /// per-instruction event stream with no superinstruction boundaries.
+  /// The observer sees one event per original instruction, in tree-walk
+  /// order, even where run() executes a fused superinstruction.
   void setObserver(ExecObserver *O) { Obs = O; }
 
   /// Runs function \p Name (default signature: no args) to completion.
@@ -72,14 +72,7 @@ public:
   const ExecProgram &program() const { return *Prog; }
 
 private:
-  /// The program run() executes: the fused decode normally, the unfused
-  /// one (decoded lazily, same cache) while an observer is attached. Both
-  /// share the module's memory layout, so Mem serves either.
-  const ExecProgram &activeProgram();
-
-  Module *M;
   std::shared_ptr<const ExecProgram> Prog;
-  std::shared_ptr<const ExecProgram> UnfusedProg;
   PrivateExecMemory Mem;
   ExecContext Ctx;
   ExecObserver *Obs = nullptr;

@@ -186,7 +186,10 @@ INSTANTIATE_TEST_SUITE_P(
                       KernelIdiom::TwoAccum));
 
 /// Observer event streams must be identical element-for-element: same
-/// instructions in the same order with the same costs, same edges.
+/// instructions in the same order with the same costs, same edges. The
+/// observed Interpreter runs the fused decode, so fused handlers must
+/// report every original instruction exactly once, in tree-walk order,
+/// with its own cost.
 TEST(ExecEngine, ObserverStreamMatchesTreeWalk) {
   struct Recorder : ExecObserver {
     std::vector<std::pair<const Instruction *, unsigned>> Instrs;
@@ -203,19 +206,26 @@ TEST(ExecEngine, ObserverStreamMatchesTreeWalk) {
     }
   };
 
-  auto M = buildSpecWorkload("mcf");
-  Recorder Ref, Dec;
-  TreeWalkInterpreter RefI(*M);
-  RefI.setObserver(&Ref);
-  ASSERT_TRUE(RefI.run().Ok);
-  Interpreter DecI(*M);
-  DecI.setObserver(&Dec);
-  ASSERT_TRUE(DecI.run().Ok);
+  obs::Counter &StepsFused =
+      obs::MetricsRegistry::global().counter("exec.dispatch.steps_fused");
+  std::unique_ptr<Module> Inputs[] = {buildSpecWorkload("mcf"),
+                                      idiomWorkload(KernelIdiom::Branchy)};
+  for (const auto &M : Inputs) {
+    Recorder Ref, Dec;
+    TreeWalkInterpreter RefI(*M);
+    RefI.setObserver(&Ref);
+    ASSERT_TRUE(RefI.run().Ok);
+    Interpreter DecI(*M);
+    DecI.setObserver(&Dec);
+    uint64_t Fused0 = StepsFused.value();
+    ASSERT_TRUE(DecI.run().Ok);
+    EXPECT_GT(StepsFused.value(), Fused0); // fused handlers ran observed
 
-  ASSERT_EQ(Ref.Instrs.size(), Dec.Instrs.size());
-  EXPECT_TRUE(Ref.Instrs == Dec.Instrs);
-  EXPECT_TRUE(Ref.Edges == Dec.Edges);
-  EXPECT_TRUE(Ref.Depths == Dec.Depths);
+    ASSERT_EQ(Ref.Instrs.size(), Dec.Instrs.size());
+    EXPECT_TRUE(Ref.Instrs == Dec.Instrs);
+    EXPECT_TRUE(Ref.Edges == Dec.Edges);
+    EXPECT_TRUE(Ref.Depths == Dec.Depths);
+  }
 }
 
 TEST(ExecEngine, TrapsMatchTreeWalk) {
@@ -272,6 +282,12 @@ TEST(ExecEngine, DecodeCacheHitsAndInvalidation) {
   Interpreter I1(M), I2(M);
   EXPECT_EQ(&I1.program(), &I2.program());
   EXPECT_EQ(Cache.decodes(), Decodes0 + 1);
+  // ...and an observed run executes that same decode: attaching an
+  // observer costs no second one.
+  ExecObserver Silent;
+  I1.setObserver(&Silent);
+  ASSERT_TRUE(I1.run().Ok);
+  EXPECT_EQ(Cache.decodes(), Decodes0 + 1);
 
   // ...until the module is mutated: the structural fingerprint changes and
   // the cache re-decodes instead of serving stale code.
@@ -316,136 +332,46 @@ next:
 // Superinstruction fusion
 //===----------------------------------------------------------------------===//
 
-/// Runs @main of \p P bare on the dispatch loop (no Interpreter wrapper, so
-/// the decode variant under test is exactly the one passed in).
-struct EngineRun {
-  ExecStop Stop = ExecStop::Trapped;
-  ExecContext Ctx;
-};
-
-EngineRun runBare(const ExecProgram &P) {
-  EngineRun R;
-  PrivateExecMemory Mem(P);
-  const DecodedFunction *DF = P.findFunction("main");
-  EXPECT_NE(DF, nullptr);
-  R.Ctx.pushFrame(*DF);
-  R.Stop = runEngine(P, Mem, R.Ctx, DefaultExecHooks());
-  return R;
-}
-
-/// Fused and unfused decodes of the same module must be observationally
-/// identical: same return value, same error, same step and cycle
-/// accounting. Swept over every workload idiom so every fusion pattern
-/// (cmp+condbr, add+load, add+store, sync pairs) gets exercised.
-TEST_P(DecodedIdiom, FusedMatchesUnfusedAndFusionFires) {
+/// The fused decode must be observationally identical to the tree-walk
+/// reference: same return value, same step and cycle accounting. Swept
+/// over every workload idiom so every fusion pattern (cmp+condbr, add+load,
+/// add+store, sync pairs, ALU pairs) gets exercised; runs @main bare on
+/// the dispatch loop so the fused-step count is visible.
+TEST_P(DecodedIdiom, FusedMatchesTreeWalkAndFusionFires) {
   auto M = idiomWorkload(GetParam());
-  ExecProgram Fused(*M, DecodeOptions{true});
-  ExecProgram Unfused(*M, DecodeOptions{false});
+  ExecProgram Fused(*M);
   ASSERT_GT(Fused.fusedPairs(), 0u) << "idiom produced nothing fusable";
-  EXPECT_EQ(Unfused.fusedPairs(), 0u);
-  EXPECT_EQ(Fused.fingerprint(), Unfused.fingerprint());
 
-  EngineRun F = runBare(Fused);
-  EngineRun U = runBare(Unfused);
-  ASSERT_EQ(F.Stop, ExecStop::Returned) << F.Ctx.Error;
-  ASSERT_EQ(U.Stop, ExecStop::Returned) << U.Ctx.Error;
-  EXPECT_TRUE(F.Ctx.Returned == U.Ctx.Returned);
-  EXPECT_EQ(F.Ctx.Steps, U.Ctx.Steps);
-  EXPECT_EQ(F.Ctx.Cycles, U.Ctx.Cycles);
-  EXPECT_GT(F.Ctx.StepsFused, 0u);
-  EXPECT_EQ(U.Ctx.StepsFused, 0u);
+  TreeWalkInterpreter Ref(*M);
+  ExecResult RefR = Ref.run();
+  ASSERT_TRUE(RefR.Ok) << RefR.Error;
+
+  PrivateExecMemory Mem(Fused);
+  ExecContext Ctx;
+  Ctx.pushFrame(*Fused.findFunction("main"));
+  ASSERT_EQ(runEngine(Fused, Mem, Ctx, DefaultExecHooks()),
+            ExecStop::Returned)
+      << Ctx.Error;
+  EXPECT_TRUE(RefR.ReturnValue == Ctx.Returned);
+  EXPECT_EQ(RefR.Instructions, Ctx.Steps);
+  EXPECT_EQ(RefR.Cycles, Ctx.Cycles);
+  EXPECT_GT(Ctx.StepsFused, 0u);
 }
 
 /// Fusion must not change what a budget-capped run looks like: sweep the
 /// step budget across values that land a cutoff inside fused pairs and
-/// compare the exact stop state against the unfused decode.
-TEST(ExecEngine, FusedBudgetCutoffsMatchUnfused) {
+/// compare the exact stop state against the tree-walk reference.
+TEST(ExecEngine, FusedBudgetCutoffsMatchTreeWalk) {
   auto M = idiomWorkload(KernelIdiom::Branchy);
-  ExecProgram Fused(*M, DecodeOptions{true});
-  ExecProgram Unfused(*M, DecodeOptions{false});
-  ASSERT_GT(Fused.fusedPairs(), 0u);
   for (uint64_t Budget : {1u, 2u, 3u, 7u, 50u, 51u, 52u, 53u, 1000u, 1001u}) {
-    PrivateExecMemory FM(Fused), UM(Unfused);
-    ExecContext FC, UC;
-    FC.MaxSteps = UC.MaxSteps = Budget;
-    FC.pushFrame(*Fused.findFunction("main"));
-    UC.pushFrame(*Unfused.findFunction("main"));
-    ExecStop FS = runEngine(Fused, FM, FC, DefaultExecHooks());
-    ExecStop US = runEngine(Unfused, UM, UC, DefaultExecHooks());
-    EXPECT_EQ(FS, US) << "budget " << Budget;
-    EXPECT_EQ(FC.Steps, UC.Steps) << "budget " << Budget;
-    EXPECT_EQ(FC.Cycles, UC.Cycles) << "budget " << Budget;
-    EXPECT_EQ(FC.Error, UC.Error) << "budget " << Budget;
-    EXPECT_EQ(FC.BudgetExhausted, UC.BudgetExhausted) << "budget " << Budget;
+    TreeWalkInterpreter Ref(*M);
+    Ref.setMaxInstructions(Budget);
+    Interpreter Dec(*M);
+    ASSERT_GT(Dec.program().fusedPairs(), 0u);
+    Dec.setMaxInstructions(Budget);
+    SCOPED_TRACE("budget " + std::to_string(Budget));
+    expectResultsEqual(Ref.run(), Dec.run());
   }
-}
-
-/// Even when the *fused* decode runs under instruction hooks (drivers
-/// normally switch to the unfused one), every original instruction must
-/// still be reported exactly once, in tree-walk order, with its own cost.
-TEST(ExecEngine, FusedProgramObserverStreamMatchesTreeWalk) {
-  struct Recorder : ExecObserver {
-    std::vector<std::pair<const Instruction *, unsigned>> Instrs;
-    std::vector<std::pair<const BasicBlock *, const BasicBlock *>> Edges;
-    void onInstruction(const Instruction *I, unsigned Cycles,
-                       ExecState &) override {
-      Instrs.push_back({I, Cycles});
-    }
-    void onEdge(const BasicBlock *From, const BasicBlock *To,
-                ExecState &) override {
-      Edges.push_back({From, To});
-    }
-  };
-  /// Minimal ExecState for driving runEngine with hooks but no Interpreter.
-  struct BareState : ExecState {
-    ExecContext &Ctx;
-    const ExecProgram &P;
-    BareState(ExecContext &Ctx, const ExecProgram &P) : Ctx(Ctx), P(P) {}
-    unsigned callDepth() const override {
-      return unsigned(Ctx.Frames.size());
-    }
-    const Function *currentFunction() const override {
-      return Ctx.Frames.back().F->Src;
-    }
-    Value operandValue(const Operand &O) const override {
-      switch (O.kind()) {
-      case Operand::Kind::Reg:
-        return Ctx.frameRegs(Ctx.Frames.back())[O.regId()];
-      case Operand::Kind::ImmInt:
-        return Value::ofInt(O.intValue());
-      case Operand::Kind::ImmFloat:
-        return Value::ofFloat(O.floatValue());
-      case Operand::Kind::Global:
-        return Value::ofInt(int64_t(P.globalBase(O.globalIndex())));
-      }
-      return Value();
-    }
-    uint64_t globalBase(unsigned Idx) const override {
-      return P.globalBase(Idx);
-    }
-  };
-
-  auto M = idiomWorkload(KernelIdiom::Branchy);
-  Recorder Ref;
-  TreeWalkInterpreter RefI(*M);
-  RefI.setObserver(&Ref);
-  ASSERT_TRUE(RefI.run().Ok);
-
-  ExecProgram Fused(*M, DecodeOptions{true});
-  ASSERT_GT(Fused.fusedPairs(), 0u);
-  Recorder Dec;
-  PrivateExecMemory Mem(Fused);
-  ExecContext Ctx;
-  Ctx.pushFrame(*Fused.findFunction("main"));
-  BareState State(Ctx, Fused);
-  ObserverExecHooks Hooks(Dec, State);
-  ASSERT_EQ(runEngine(Fused, Mem, Ctx, Hooks), ExecStop::Returned)
-      << Ctx.Error;
-
-  ASSERT_EQ(Ref.Instrs.size(), Dec.Instrs.size());
-  EXPECT_TRUE(Ref.Instrs == Dec.Instrs);
-  EXPECT_TRUE(Ref.Edges == Dec.Edges);
-  EXPECT_GT(Ctx.StepsFused, 0u); // fused handlers actually ran
 }
 
 //===----------------------------------------------------------------------===//

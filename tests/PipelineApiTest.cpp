@@ -4,12 +4,10 @@
 /// Tests of the composable pipeline API: stage composition and ordering,
 /// pipeline-string parse/print round trips, stage-result caching across
 /// configuration sweeps, analysis invalidation after the transform stage,
-/// the loop-pass manager, and equivalence of the runHelixPipeline
-/// compatibility wrapper with an explicitly built pipeline.
+/// and the loop-pass manager.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "driver/HelixDriver.h"
 #include "helix/HelixTransform.h"
 #include "helix/LoopPasses.h"
 #include "ir/IRBuilder.h"
@@ -198,7 +196,7 @@ TEST(PipelineRun, FullyCachedPartialRunDoesNotReportStaleDownstream) {
   PipelineReport RB = PipelineBuilder::standard().run(Ctx);
   PipelineConfig DC;
   DC.Selection.SignalCycles = 110.0;
-  PipelineReport Fresh = runHelixPipeline(*M, DC);
+  PipelineReport Fresh = PipelineBuilder::standard().run(*M, DC);
   ASSERT_TRUE(RB.Ok && Fresh.Ok);
   EXPECT_DOUBLE_EQ(RB.Speedup, Fresh.Speedup);
   EXPECT_EQ(RB.Loops.size(), Fresh.Loops.size());
@@ -309,7 +307,7 @@ TEST(PipelineCache, SelectionSweepReusesProfilingStages) {
   for (unsigned K = 0; K != 3; ++K) {
     PipelineConfig DC;
     DC.Selection.SignalCycles = Latencies[K];
-    PipelineReport Fresh = runHelixPipeline(*M, DC);
+    PipelineReport Fresh = PipelineBuilder::standard().run(*M, DC);
     ASSERT_TRUE(Fresh.Ok);
     EXPECT_DOUBLE_EQ(Reports[K].Speedup, Fresh.Speedup);
     EXPECT_EQ(Reports[K].OutputsMatch, Fresh.OutputsMatch);
@@ -361,7 +359,7 @@ TEST(PipelineCache, PartialRunInvalidatesDownstreamOfOtherPipelines) {
   EXPECT_EQ(Ctx.timesExecuted("transform"), 2u);
   PipelineConfig DC;
   DC.Selection.ForceNestingLevel = 2;
-  PipelineReport Fresh = runHelixPipeline(*M, DC);
+  PipelineReport Fresh = PipelineBuilder::standard().run(*M, DC);
   ASSERT_TRUE(Fresh.Ok);
   EXPECT_DOUBLE_EQ(RB.Speedup, Fresh.Speedup);
   EXPECT_EQ(RB.Loops.size(), Fresh.Loops.size());
@@ -542,48 +540,12 @@ TEST(LoopPasses, AbortsOnNonLoopHeader) {
                    .has_value());
 }
 
-//===----------------------------------------------------------------------===//
-// Compatibility wrapper equivalence.
-//===----------------------------------------------------------------------===//
-
-TEST(Compat, RunHelixPipelineEqualsBuilderRun) {
-  auto M = buildSpecWorkload("art");
-  ASSERT_NE(M, nullptr);
-
-  PipelineConfig DC;
-  DC.NumCores = 4;
-  DC.Helix.EnableBalancing = false;
-  DC.Selection.SignalCycles = 4.0;
-  PipelineReport Wrapper = runHelixPipeline(*M, DC);
-  ASSERT_TRUE(Wrapper.Ok) << Wrapper.Error;
-
-  PipelineContext Ctx(*M, DC);
-  PipelineReport Built = PipelineBuilder::standard().run(Ctx);
-  ASSERT_TRUE(Built.Ok) << Built.Error;
-
-  EXPECT_DOUBLE_EQ(Wrapper.Speedup, Built.Speedup);
-  EXPECT_DOUBLE_EQ(Wrapper.ModelSpeedup, Built.ModelSpeedup);
-  EXPECT_EQ(Wrapper.OutputsMatch, Built.OutputsMatch);
-  EXPECT_EQ(Wrapper.SeqCycles, Built.SeqCycles);
-  EXPECT_EQ(Wrapper.ParCycles, Built.ParCycles);
-  EXPECT_EQ(Wrapper.NumCandidates, Built.NumCandidates);
-  EXPECT_EQ(Wrapper.Loops.size(), Built.Loops.size());
-  // Table-1 aggregates.
-  EXPECT_DOUBLE_EQ(Wrapper.LoopCarriedPct, Built.LoopCarriedPct);
-  EXPECT_DOUBLE_EQ(Wrapper.SignalsRemovedPct, Built.SignalsRemovedPct);
-  EXPECT_DOUBLE_EQ(Wrapper.DataTransferPct, Built.DataTransferPct);
-  EXPECT_EQ(Wrapper.MaxCodeInstrs, Built.MaxCodeInstrs);
-  // Figure-11 breakdown.
-  EXPECT_DOUBLE_EQ(Wrapper.PctParallel, Built.PctParallel);
-  EXPECT_DOUBLE_EQ(Wrapper.PctSeqData, Built.PctSeqData);
-}
-
 TEST(Instrumentation, TransformStageReportsPassTimings) {
   // The transform stage attributes its wall time to the individual HELIX
   // steps (loop-pass timing); a standard run over a benchmark that
   // chooses loops must surface every standard pass at least once.
   auto M = buildSpecWorkload("art");
-  PipelineReport R = runHelixPipeline(*M, PipelineConfig());
+  PipelineReport R = PipelineBuilder::standard().run(*M, PipelineConfig());
   ASSERT_TRUE(R.Ok) << R.Error;
   ASSERT_FALSE(R.Loops.empty());
   ASSERT_FALSE(R.TransformPassTimings.empty());

@@ -9,7 +9,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "driver/HelixDriver.h"
+#include "pipeline/PipelineBuilder.h"
 #include "workloads/WorkloadBuilder.h"
 
 #include <gtest/gtest.h>
@@ -24,7 +24,7 @@ TEST_P(SuitePipeline, TransformIsCorrectAndProfitable) {
   auto M = buildSpecWorkload(GetParam());
   ASSERT_NE(M, nullptr);
   PipelineConfig Config;
-  PipelineReport R = runHelixPipeline(*M, Config);
+  PipelineReport R = PipelineBuilder::standard().run(*M, Config);
   ASSERT_TRUE(R.Ok) << R.Error;
   EXPECT_TRUE(R.OutputsMatch);
   EXPECT_GT(R.NumCandidates, 0u);
@@ -45,8 +45,8 @@ TEST_P(SuitePipeline, MoreCoresNeverHurtMuch) {
   PipelineConfig C2, C6;
   C2.NumCores = 2;
   C6.NumCores = 6;
-  PipelineReport R2 = runHelixPipeline(*M, C2);
-  PipelineReport R6 = runHelixPipeline(*M, C6);
+  PipelineReport R2 = PipelineBuilder::standard().run(*M, C2);
+  PipelineReport R6 = PipelineBuilder::standard().run(*M, C6);
   ASSERT_TRUE(R2.Ok && R6.Ok);
   EXPECT_GE(R6.Speedup, 0.9 * R2.Speedup);
 }
@@ -64,8 +64,8 @@ TEST(Pipeline, AblationOrdering) {
   PipelineConfig Full;
   PipelineConfig NoStep8;
   NoStep8.Helix.EnableHelperThreads = false;
-  PipelineReport RFull = runHelixPipeline(*M, Full);
-  PipelineReport RNo8 = runHelixPipeline(*M, NoStep8);
+  PipelineReport RFull = PipelineBuilder::standard().run(*M, Full);
+  PipelineReport RNo8 = PipelineBuilder::standard().run(*M, NoStep8);
   ASSERT_TRUE(RFull.Ok && RNo8.Ok);
   EXPECT_GE(RFull.Speedup, RNo8.Speedup);
   EXPECT_GE(RNo8.Speedup, 0.95); // selection avoids slowdowns regardless
@@ -75,8 +75,8 @@ TEST(Pipeline, IdealPrefetchIsAnUpperBound) {
   auto M = buildSpecWorkload("vpr");
   PipelineConfig Helper, Ideal;
   Ideal.Prefetch = PrefetchMode::Ideal;
-  PipelineReport RH = runHelixPipeline(*M, Helper);
-  PipelineReport RI = runHelixPipeline(*M, Ideal);
+  PipelineReport RH = PipelineBuilder::standard().run(*M, Helper);
+  PipelineReport RI = PipelineBuilder::standard().run(*M, Ideal);
   ASSERT_TRUE(RH.Ok && RI.Ok);
   EXPECT_GE(RI.Speedup, 0.99 * RH.Speedup);
 }
@@ -87,8 +87,8 @@ TEST(Pipeline, DoAcrossIsNotFasterThanHelix) {
   PipelineConfig DoAcross;
   DoAcross.DoAcross = true;
   DoAcross.Helix.EnableHelperThreads = false;
-  PipelineReport RH = runHelixPipeline(*M, Helix);
-  PipelineReport RD = runHelixPipeline(*M, DoAcross);
+  PipelineReport RH = PipelineBuilder::standard().run(*M, Helix);
+  PipelineReport RD = PipelineBuilder::standard().run(*M, DoAcross);
   ASSERT_TRUE(RH.Ok && RD.Ok);
   EXPECT_GE(RH.Speedup, RD.Speedup);
 }
@@ -100,8 +100,8 @@ TEST(Pipeline, OverestimatedLatencyChoosesOuterLoops) {
   PipelineConfig Fast, Slow;
   Fast.Selection.SignalCycles = 4.0;
   Slow.Selection.SignalCycles = 110.0;
-  PipelineReport RF = runHelixPipeline(*M, Fast);
-  PipelineReport RS = runHelixPipeline(*M, Slow);
+  PipelineReport RF = PipelineBuilder::standard().run(*M, Fast);
+  PipelineReport RS = PipelineBuilder::standard().run(*M, Slow);
   ASSERT_TRUE(RF.Ok && RS.Ok);
   auto AvgLevel = [](const PipelineReport &R) {
     if (R.Loops.empty())
@@ -124,7 +124,7 @@ TEST(Pipeline, ForcedNestingLevelRestrictsChoice) {
   auto M = buildSpecWorkload("gzip");
   PipelineConfig Config;
   Config.Selection.ForceNestingLevel = 1;
-  PipelineReport R = runHelixPipeline(*M, Config);
+  PipelineReport R = PipelineBuilder::standard().run(*M, Config);
   ASSERT_TRUE(R.Ok) << R.Error;
   for (const LoopReport &L : R.Loops)
     EXPECT_EQ(L.NestingLevel, 1u);
@@ -136,7 +136,7 @@ TEST(Pipeline, ModelTracksMeasurementWithinFactor) {
   // more data, see EXPERIMENTS.md).
   auto M = buildSpecWorkload("art");
   PipelineConfig Config;
-  PipelineReport R = runHelixPipeline(*M, Config);
+  PipelineReport R = PipelineBuilder::standard().run(*M, Config);
   ASSERT_TRUE(R.Ok);
   EXPECT_GT(R.ModelSpeedup, 0.5 * R.Speedup);
   EXPECT_LT(R.ModelSpeedup, 2.0 * R.Speedup);
@@ -145,7 +145,7 @@ TEST(Pipeline, ModelTracksMeasurementWithinFactor) {
 TEST(Pipeline, Table1StatisticsAreInRange) {
   auto M = buildSpecWorkload("bzip2");
   PipelineConfig Config;
-  PipelineReport R = runHelixPipeline(*M, Config);
+  PipelineReport R = PipelineBuilder::standard().run(*M, Config);
   ASSERT_TRUE(R.Ok);
   EXPECT_GE(R.LoopCarriedPct, 0.0);
   EXPECT_LE(R.LoopCarriedPct, 100.0);

@@ -6,8 +6,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "driver/HelixDriver.h"
 #include "helix/LoopSelection.h"
+#include "pipeline/PipelineBuilder.h"
 #include "workloads/WorkloadBuilder.h"
 
 #include <gtest/gtest.h>
@@ -142,8 +142,8 @@ TEST(Selection, HigherLatencyNeverSelectsMoreLoops) {
   PipelineConfig Fast, Slow;
   Fast.Selection.SignalCycles = 0.0;
   Slow.Selection.SignalCycles = 110.0;
-  PipelineReport RF = runHelixPipeline(*M, Fast);
-  PipelineReport RS = runHelixPipeline(*M, Slow);
+  PipelineReport RF = PipelineBuilder::standard().run(*M, Fast);
+  PipelineReport RS = PipelineBuilder::standard().run(*M, Slow);
   ASSERT_TRUE(RF.Ok && RS.Ok);
   EXPECT_LE(RS.Loops.size(), RF.Loops.size());
 }

@@ -154,7 +154,7 @@ TEST(StageCachePipeline, SecondContextRestoresTrainingStagesFromDisk) {
 
   // First "process": cold run, populates the cache.
   PipelineContext Cold(*M);
-  Cold.setDiskCache(&Cache, "gzip");
+  Cold.setStageCache(&Cache, "gzip");
   PipelineReport R1 = PipelineBuilder::standard().run(Cold);
   ASSERT_TRUE(R1.Ok) << R1.Error;
   EXPECT_EQ(Cold.timesExecuted("profile"), 1u);
@@ -162,7 +162,7 @@ TEST(StageCachePipeline, SecondContextRestoresTrainingStagesFromDisk) {
 
   // Second "process": a fresh context over the same module and cache.
   PipelineContext Warm(*M);
-  Warm.setDiskCache(&Cache, "gzip");
+  Warm.setStageCache(&Cache, "gzip");
   PipelineReport R2 = PipelineBuilder::standard().run(Warm);
   ASSERT_TRUE(R2.Ok) << R2.Error;
 
@@ -206,13 +206,13 @@ TEST(StageCachePipeline, ModelProfileAnalysisCountersSurviveDiskRestore) {
   ASSERT_TRUE(Cache.ok());
 
   PipelineContext Cold(*M);
-  Cold.setDiskCache(&Cache, "gzip");
+  Cold.setStageCache(&Cache, "gzip");
   PipelineReport R1 = PipelineBuilder::standard().run(Cold);
   ASSERT_TRUE(R1.Ok) << R1.Error;
   ASSERT_FALSE(R1.ModelProfileAnalysisCounters.empty());
 
   PipelineContext Warm(*M);
-  Warm.setDiskCache(&Cache, "gzip");
+  Warm.setStageCache(&Cache, "gzip");
   PipelineReport R2 = PipelineBuilder::standard().run(Warm);
   ASSERT_TRUE(R2.Ok) << R2.Error;
   EXPECT_EQ(Warm.timesExecuted("model-profile"), 0u);
@@ -236,7 +236,7 @@ TEST(StageCachePipeline, ConfigChangeMissesTheDiskCache) {
   DiskStageCache Cache(Tmp.str());
 
   PipelineContext A(*M);
-  A.setDiskCache(&Cache, "gzip");
+  A.setStageCache(&Cache, "gzip");
   ASSERT_TRUE(PipelineBuilder::standard().run(A).Ok);
 
   // A different NumCores changes model-profile's slice but not profile's:
@@ -244,7 +244,7 @@ TEST(StageCachePipeline, ConfigChangeMissesTheDiskCache) {
   PipelineConfig C;
   C.NumCores = 2;
   PipelineContext B(*M, C);
-  B.setDiskCache(&Cache, "gzip");
+  B.setStageCache(&Cache, "gzip");
   ASSERT_TRUE(PipelineBuilder::standard().run(B).Ok);
   EXPECT_EQ(B.timesLoadedFromDisk("profile"), 1u);
   EXPECT_EQ(B.timesLoadedFromDisk("candidates"), 1u);
@@ -258,14 +258,14 @@ TEST(StageCachePipeline, DifferentWorkloadKeyOrModuleMisses) {
   DiskStageCache Cache(Tmp.str());
 
   PipelineContext A(*M);
-  A.setDiskCache(&Cache, "gzip");
+  A.setStageCache(&Cache, "gzip");
   ASSERT_TRUE(PipelineBuilder::standard().run(A).Ok);
 
   // Same key, different program: the module fingerprint must miss — a
   // collision here would silently profile the wrong program.
   auto Other = buildSpecWorkload("art");
   PipelineContext B(*Other);
-  B.setDiskCache(&Cache, "gzip");
+  B.setStageCache(&Cache, "gzip");
   ASSERT_TRUE(PipelineBuilder::standard().run(B).Ok);
   EXPECT_EQ(B.timesLoadedFromDisk("profile"), 0u);
   EXPECT_EQ(B.timesExecuted("profile"), 1u);
@@ -277,7 +277,7 @@ TEST(StageCachePipeline, CorruptedEntriesFallBackToExecution) {
   DiskStageCache Cache(Tmp.str());
 
   PipelineContext A(*M);
-  A.setDiskCache(&Cache, "gzip");
+  A.setStageCache(&Cache, "gzip");
   PipelineReport R1 = PipelineBuilder::standard().run(A);
   ASSERT_TRUE(R1.Ok);
 
@@ -293,7 +293,7 @@ TEST(StageCachePipeline, CorruptedEntriesFallBackToExecution) {
   }
 
   PipelineContext B(*M);
-  B.setDiskCache(&Cache, "gzip");
+  B.setStageCache(&Cache, "gzip");
   PipelineReport R2 = PipelineBuilder::standard().run(B);
   ASSERT_TRUE(R2.Ok) << R2.Error;
   // Every stage re-executed (no disk hits), results are still correct.
@@ -313,7 +313,7 @@ TEST(StageCachePipeline, TruncatedPayloadInsideValidEnvelopeIsRejected) {
   DiskStageCache Cache(Tmp.str());
 
   PipelineContext A(*M);
-  A.setDiskCache(&Cache, "gzip");
+  A.setStageCache(&Cache, "gzip");
   ASSERT_TRUE(PipelineBuilder::standard().run(A).Ok);
 
   // Overwrite every candidates entry with a payload naming node 10^6.
@@ -331,7 +331,7 @@ TEST(StageCachePipeline, TruncatedPayloadInsideValidEnvelopeIsRejected) {
   ASSERT_GT(Overwritten, 0u);
 
   PipelineContext B(*M);
-  B.setDiskCache(&Cache, "gzip");
+  B.setStageCache(&Cache, "gzip");
   PipelineReport R = PipelineBuilder::standard().run(B);
   ASSERT_TRUE(R.Ok) << R.Error;
   EXPECT_EQ(B.timesLoadedFromDisk("candidates"), 0u);
@@ -358,13 +358,13 @@ TEST(StageCachePipeline, SweepSharesDiskAndMemoryCaches) {
   };
 
   PipelineContext A(*M);
-  A.setDiskCache(&Cache, "art");
+  A.setStageCache(&Cache, "art");
   Sweep(A);
   EXPECT_EQ(A.timesExecuted("profile"), 1u);
   EXPECT_EQ(A.timesReused("profile"), 2u);
 
   PipelineContext B(*M);
-  B.setDiskCache(&Cache, "art");
+  B.setStageCache(&Cache, "art");
   Sweep(B);
   EXPECT_EQ(B.timesExecuted("profile"), 0u);
   EXPECT_EQ(B.timesLoadedFromDisk("profile"), 1u);

@@ -61,10 +61,12 @@ TEST(ValueFact, JoinIsUpperBoundOnSamples) {
       ValueFact J = ValueFact::join(A, B);
       // Every concrete member of A and of B stays a member of the join.
       for (int64_t V = -60; V <= 110; ++V) {
-        if (contains(A, V))
+        if (contains(A, V)) {
           EXPECT_TRUE(contains(J, V)) << "join lost " << V;
-        if (contains(B, V))
+        }
+        if (contains(B, V)) {
           EXPECT_TRUE(contains(J, V)) << "join lost " << V;
+        }
       }
       // Join is commutative.
       EXPECT_EQ(J, ValueFact::join(B, A));
@@ -166,9 +168,11 @@ TEST(ValueFact, WidenIsUpperBoundAndStrideDirected) {
   for (int Dir : {-1, 0, 1}) {
     ValueFact W = ValueFact::widen(Old, New, Dir);
     ValueFact J = ValueFact::join(Old, New);
-    for (int64_t V = -5; V <= 20; ++V)
-      if (contains(J, V))
+    for (int64_t V = -5; V <= 20; ++V) {
+      if (contains(J, V)) {
         EXPECT_TRUE(contains(W, V));
+      }
+    }
   }
   // A stable fact is returned unchanged — no infinite widening chains.
   EXPECT_EQ(ValueFact::widen(Old, Old, 0), Old);
