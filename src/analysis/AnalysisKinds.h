@@ -56,11 +56,6 @@ inline constexpr unsigned NumAnalysisKinds = 8;
 /// Stable short name ("cfg", "dom-tree", ...) for reports and logs.
 const char *analysisKindName(AnalysisKind K);
 
-/// True for the per-function analyses (CFG..Liveness, incl. ValueRange).
-inline constexpr bool isFunctionAnalysis(AnalysisKind K) {
-  return unsigned(K) < unsigned(AnalysisKind::CallGraph);
-}
-
 /// Maps analysis result types to their kind; specialized below. Clients
 /// use it through AnalysisManager::get<T> and PreservedAnalyses::preserve<T>.
 template <typename T> struct AnalysisTraits;
@@ -111,7 +106,6 @@ public:
 
   bool preserved(AnalysisKind K) const { return Mask & bit(K); }
   bool preservesAll() const { return Mask == AllMask; }
-  bool preservesNone() const { return Mask == 0; }
 
 private:
   static constexpr uint8_t AllMask = uint8_t((1u << NumAnalysisKinds) - 1);

@@ -104,7 +104,6 @@ public:
   /// the preservation contract is measurable as a build-count delta on
   /// the same workload.
   void setConservativeInvalidation(bool V) { Conservative = V; }
-  bool conservativeInvalidation() const { return Conservative; }
 
   // --- Counters ----------------------------------------------------------
 

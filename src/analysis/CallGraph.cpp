@@ -42,10 +42,4 @@ CallGraph::CallGraph(Module &M) : M(M) {
   for (unsigned I = 0; I != N; ++I)
     if (SCCs.isInCycle(I))
       Recursive[I] = true;
-
-  // Tarjan numbers components in reverse topological order of the
-  // condensation, so ascending component id == bottom-up (callees first).
-  for (unsigned C = 0; C != SCCs.numComponents(); ++C)
-    for (unsigned Member : SCCs.Components[C])
-      BottomUp.push_back(M.function(Member));
 }

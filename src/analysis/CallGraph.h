@@ -30,10 +30,6 @@ public:
     return Callees[indexOf(F)];
   }
 
-  /// Functions in bottom-up order (callees before callers); members of a
-  /// recursive cycle appear in arbitrary relative order.
-  const std::vector<Function *> &bottomUpOrder() const { return BottomUp; }
-
   /// \returns true if \p F participates in a call-graph cycle (including
   /// direct self recursion).
   bool isRecursive(const Function *F) const { return Recursive[indexOf(F)]; }
@@ -44,7 +40,6 @@ private:
   Module &M;
   std::vector<std::vector<Instruction *>> Sites;
   std::vector<std::vector<Function *>> Callees;
-  std::vector<Function *> BottomUp;
   std::vector<bool> Recursive;
 };
 

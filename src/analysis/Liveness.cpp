@@ -25,20 +25,3 @@ Liveness::Liveness(Function *F, const CFGInfo &CFG) {
   Result = solveDataFlow(F, CFG, DataFlowDir::Backward, DataFlowMeet::Union,
                          NumRegs, Gen, Kill, BitSet(NumRegs));
 }
-
-bool Liveness::isLiveBefore(unsigned Reg, const Instruction *At) const {
-  const BasicBlock *BB = At->parent();
-  bool Seen = false;
-  for (Instruction *I : *BB) {
-    if (I == At)
-      Seen = true;
-    if (!Seen)
-      continue;
-    for (unsigned Used : usedRegs(*I))
-      if (Used == Reg)
-        return true;
-    if (I->hasDest() && I->dest() == Reg)
-      return false;
-  }
-  return liveOut(BB).test(Reg);
-}

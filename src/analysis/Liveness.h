@@ -14,7 +14,7 @@
 
 namespace helix {
 
-/// Per-block live-in/live-out register sets.
+/// Per-block live-in register sets.
 class Liveness {
 public:
   Liveness(Function *F, const CFGInfo &CFG);
@@ -22,13 +22,6 @@ public:
   const BitSet &liveIn(const BasicBlock *BB) const {
     return Result.In[BB->id()];
   }
-  const BitSet &liveOut(const BasicBlock *BB) const {
-    return Result.Out[BB->id()];
-  }
-
-  /// \returns true if register \p Reg is live immediately before \p At.
-  /// (Linear scan from \p At to the end of its block.)
-  bool isLiveBefore(unsigned Reg, const Instruction *At) const;
 
 private:
   DataFlowResult Result;

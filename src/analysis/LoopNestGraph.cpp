@@ -1,7 +1,6 @@
 #include "analysis/LoopNestGraph.h"
 
 #include "support/Compiler.h"
-#include "support/Graph.h"
 
 #include <algorithm>
 
@@ -92,20 +91,4 @@ unsigned LoopNestGraph::nodeFor(const Loop *L) const {
     if (N.L == L)
       return N.Id;
   return ~0u;
-}
-
-std::vector<unsigned> LoopNestGraph::topDownOrder() const {
-  DenseGraph G(numNodes());
-  for (const LoopNestNode &N : Nodes)
-    for (unsigned C : N.Children)
-      G.addEdge(N.Id, C);
-  SCCResult SCCs = computeSCCs(G);
-  // Tarjan components are numbered in reverse topological order, so walking
-  // components from the highest id downward yields parents before children.
-  std::vector<unsigned> Order;
-  Order.reserve(numNodes());
-  for (unsigned C = SCCs.numComponents(); C-- > 0;)
-    for (unsigned Member : SCCs.Components[C])
-      Order.push_back(Member);
-  return Order;
 }

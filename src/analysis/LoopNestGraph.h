@@ -49,11 +49,6 @@ public:
   /// The node id of loop \p L, or ~0u.
   unsigned nodeFor(const Loop *L) const;
 
-  /// All node ids in an order where parents precede children when the graph
-  /// is acyclic (recursion can introduce cycles; members of a cycle appear
-  /// in arbitrary relative order).
-  std::vector<unsigned> topDownOrder() const;
-
 private:
   std::vector<LoopNestNode> Nodes;
   std::vector<unsigned> Roots;

@@ -1,7 +1,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Helpers enumerating the register uses and definitions of an instruction.
+/// Enumerates the register uses of an instruction.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,11 +22,6 @@ inline std::vector<unsigned> usedRegs(const Instruction &I) {
     if (I.operand(K).isReg())
       Regs.push_back(I.operand(K).regId());
   return Regs;
-}
-
-/// The register defined by \p I, or NoReg.
-inline unsigned definedReg(const Instruction &I) {
-  return I.hasDest() ? I.dest() : NoReg;
 }
 
 } // namespace helix

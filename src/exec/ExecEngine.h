@@ -321,7 +321,6 @@ struct DefaultExecHooks {
     (void)Src;
     return true;
   }
-  void fence() {}
 };
 
 /// Hooks forwarding to an ExecObserver (sequential driver with observer).
@@ -732,9 +731,6 @@ ExecStop runEngine(const ExecProgram &P, MemoryT &Mem, ExecContext &Ctx,
         Flush();
         return ExecStop::Abandoned;
       }
-      goto step_done;
-      case XOpcode::MemFence:
-      Hooks.fence();
       goto step_done;
       case XOpcode::Nop:
       goto step_done;

@@ -4,6 +4,7 @@
 #include "obs/Trace.h"
 #include "sim/CostModel.h"
 #include "support/Compiler.h"
+#include "support/Hash.h"
 
 #include <map>
 
@@ -290,83 +291,62 @@ void ExecProgram::initGlobals(std::vector<Value> &Low) const {
 // Structural fingerprint
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-struct Fnv1a {
-  uint64_t H = 1469598103934665603ull;
-  void mix(uint64_t V) {
-    for (unsigned K = 0; K != 8; ++K) {
-      H ^= (V >> (K * 8)) & 0xff;
-      H *= 1099511628211ull;
-    }
-  }
-  void mix(const std::string &S) {
-    mix(S.size());
-    for (char C : S) {
-      H ^= uint8_t(C);
-      H *= 1099511628211ull;
-    }
-  }
-};
-
-} // namespace
-
 uint64_t ExecProgram::fingerprintModule(const Module &M) {
   Fnv1a H;
-  H.mix(M.numGlobals());
+  H.u64(M.numGlobals());
   for (unsigned I = 0, E = M.numGlobals(); I != E; ++I) {
     const GlobalVariable &G = M.global(I);
-    H.mix(G.Size);
-    H.mix(G.Init.size());
+    H.u64(G.Size);
+    H.u64(G.Init.size());
     for (int64_t V : G.Init)
-      H.mix(uint64_t(V));
+      H.u64(uint64_t(V));
   }
 
   std::unordered_map<const Function *, uint64_t> FuncId;
   for (unsigned I = 0, E = M.numFunctions(); I != E; ++I)
     FuncId[M.function(I)] = I;
 
-  H.mix(M.numFunctions());
+  H.u64(M.numFunctions());
   for (unsigned FI = 0, FE = M.numFunctions(); FI != FE; ++FI) {
     const Function *F = M.function(FI);
-    H.mix(F->name());
-    H.mix(F->numParams());
-    H.mix(F->numRegs());
-    H.mix(F->numBlocks());
+    H.str(F->name());
+    H.u64(F->numParams());
+    H.u64(F->numRegs());
+    H.u64(F->numBlocks());
     for (unsigned BI = 0, BE = F->numBlocks(); BI != BE; ++BI) {
       const BasicBlock *BB = F->block(BI);
-      H.mix(BB->id());
-      H.mix(BB->size());
+      H.u64(BB->id());
+      H.u64(BB->size());
       for (const Instruction *I : *BB) {
-        H.mix(uint64_t(I->opcode()));
-        H.mix(I->hasDest() ? I->dest() : ~0ull);
-        H.mix(uint64_t(I->imm()));
-        H.mix(I->numOperands());
+        H.u64(uint64_t(I->opcode()));
+        H.u64(I->hasDest() ? I->dest() : ~0ull);
+        H.u64(uint64_t(I->imm()));
+        H.u64(I->numOperands());
         for (unsigned K = 0, E = I->numOperands(); K != E; ++K) {
           const Operand &O = I->operand(K);
-          H.mix(uint64_t(O.kind()));
+          H.u64(uint64_t(O.kind()));
           switch (O.kind()) {
           case Operand::Kind::Reg:
-            H.mix(O.regId());
+            H.u64(O.regId());
             break;
           case Operand::Kind::ImmInt:
-            H.mix(uint64_t(O.intValue()));
+            H.u64(uint64_t(O.intValue()));
             break;
           case Operand::Kind::ImmFloat: {
             double D = O.floatValue();
             uint64_t Bits = 0;
             __builtin_memcpy(&Bits, &D, sizeof(Bits));
-            H.mix(Bits);
+            H.u64(Bits);
             break;
           }
           case Operand::Kind::Global:
-            H.mix(O.globalIndex());
+            H.u64(O.globalIndex());
             break;
           }
         }
-        H.mix(I->target1() ? I->target1()->id() : ~0ull);
-        H.mix(I->target2() ? I->target2()->id() : ~0ull);
-        H.mix(I->callee() ? FuncId.at(I->callee()) : ~0ull);
+        H.u64(I->target1() ? I->target1()->id() : ~0ull);
+        H.u64(I->target2() ? I->target2()->id() : ~0ull);
+        H.u64(I->callee() ? FuncId.at(I->callee()) : ~0ull);
       }
     }
   }
@@ -427,18 +407,6 @@ std::shared_ptr<const ExecProgram> DecodeCache::get(const Module &M) {
   }
   Entries[&M] = {M.uid(), FP, Prog};
   return Prog;
-}
-
-void DecodeCache::invalidate(const Module &M) {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  auto It = Entries.find(&M);
-  if (It == Entries.end())
-    return;
-  // Drop the body decoded from this module too: invalidate means the
-  // module mutated, and a later get() must re-decode rather than rebind
-  // the stale shape. Other modules sharing the shape simply re-decode.
-  Bodies.erase(It->second.Fingerprint);
-  Entries.erase(It);
 }
 
 void DecodeCache::clear() {

@@ -71,8 +71,7 @@ inline constexpr OperandRef ConstOperandBit = OperandRef(1) << 31;
   X(CmpEQ) X(CmpNE) X(CmpLT) X(CmpLE) X(CmpGT) X(CmpGE)                        \
   X(FCmpEQ) X(FCmpNE) X(FCmpLT) X(FCmpLE) X(FCmpGT) X(FCmpGE)                  \
   X(Mov) X(Load) X(Store) X(Alloca) X(HeapAlloc)                               \
-  X(Br) X(CondBr) X(Call) X(Ret) X(Wait) X(SignalOp) X(IterStart)              \
-  X(MemFence) X(Nop)
+  X(Br) X(CondBr) X(Call) X(Ret) X(Wait) X(SignalOp) X(IterStart) X(Nop)
 
 /// The eight trap-free integer ALU opcodes eligible for generic pair
 /// fusion, in the index order aluPairIndex() assigns. Any adjacent pair of
@@ -316,8 +315,6 @@ public:
   /// once per fingerprint. Thread-safe.
   std::shared_ptr<const ExecProgram> get(const Module &M);
 
-  /// Drops any entry for \p M (call after mutating a module an engine ran).
-  void invalidate(const Module &M);
   void clear();
 
   uint64_t decodes() const { return Decodes.load(std::memory_order_relaxed); }

@@ -23,12 +23,9 @@ std::vector<ParallelLoopInfo> transformAll(Module &M, const DiffConfig &C,
                                            DiffOutcome &Out) {
   AnalysisManager AM(M);
   std::vector<std::pair<Function *, BasicBlock *>> Targets;
-  for (Function *F : M) {
-    if (!C.TransformMainLoops && F->name() == "main")
-      continue;
+  for (Function *F : M)
     for (Loop *L : AM.get<LoopInfo>(F).topLevelLoops())
       Targets.push_back({F, L->header()});
-  }
   std::vector<ParallelLoopInfo> Loops;
   for (auto &[F, H] : Targets) {
     ++Out.LoopsAttempted;

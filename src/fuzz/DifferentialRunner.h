@@ -63,8 +63,6 @@ struct DiffConfig {
   double SimSlackFactor = 16.0;
   uint64_t SimSlackCycles = 200 * 1000;
   unsigned SimCores = 6;
-  /// Transform @main's own loops too (Step-9 nesting through calls).
-  bool TransformMainLoops = true;
   /// Audit the static dependence graph against the cross-iteration memory
   /// dependences the transformed-sequential leg actually exhibits
   /// (check/DepAudit). An uncovered witness is a DEP-UNSOUND divergence —

@@ -58,23 +58,11 @@ Json helix::fuzzSummaryToJson(const FuzzSummary &S) {
   }
   O.set("analysis_counters", std::move(Counters));
 
-  Json Variants = Json::array();
-  for (const FuzzSummary::VariantStats &V : S.Variants) {
-    Json E = Json::object();
-    E.set("name", Json::str(V.Name));
-    E.set("cases", u64(V.Cases));
-    E.set("untransformed", u64(V.Untransformed));
-    E.set("divergent", u64(V.Divergent));
-    Variants.push(std::move(E));
-  }
-  O.set("variants", std::move(Variants));
-
   Json Failures = Json::array();
   for (const FuzzFailure &F : S.Failures) {
     Json E = Json::object();
     E.set("case_index", u64(F.CaseIndex));
     E.set("case_seed", u64(F.CaseSeed));
-    E.set("variant", u64(F.Variant));
     E.set("kind", Json::str(F.Inconclusive  ? "inconclusive"
                             : F.StaticAlarm ? "static-alarm"
                             : F.DepUnsound  ? "dep-unsound"

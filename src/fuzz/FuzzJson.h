@@ -4,9 +4,9 @@
 /// Machine-readable form of a fuzz campaign's FuzzSummary — what
 /// `helix-fuzz --json FILE` writes alongside the human text. One
 /// deterministic JSON object: verdict counts, the Static* checker
-/// counters, pass timings, analysis counters, per-variant schedule stats
-/// and one entry per failure (repro paths included, module text omitted —
-/// the corpus dir owns the bytes).
+/// counters, pass timings, analysis counters and one entry per failure
+/// (repro paths included, module text omitted — the corpus dir owns the
+/// bytes).
 ///
 //===----------------------------------------------------------------------===//
 

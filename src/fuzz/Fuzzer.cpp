@@ -49,19 +49,6 @@ helix::fuzzScheduleVariants(const GeneratorConfig &Base) {
   return Out;
 }
 
-std::vector<uint64_t>
-helix::fuzzVariantWeights(const std::vector<uint64_t> &Cases,
-                          const std::vector<uint64_t> &Untransformed) {
-  assert(Cases.size() == Untransformed.size() && "count vectors disagree");
-  // Weight ~ the variant's historical Untransformed *rate* (+1 smoothing
-  // keeps every variant explorable): shapes HELIX declines to parallelize
-  // mark the accept/reject boundary the campaign should keep pushing on.
-  std::vector<uint64_t> Weights(Cases.size());
-  for (size_t V = 0; V != Cases.size(); ++V)
-    Weights[V] = 1000 * (1 + Untransformed[V]) / (1 + Cases[V]) + 1;
-  return Weights;
-}
-
 namespace {
 
 /// Everything one worker records about its case; merged in index order.
@@ -93,7 +80,6 @@ void writeRepro(const std::string &Dir, const std::string &Name,
 
 FuzzSummary helix::runFuzzCampaign(const FuzzOptions &Options) {
   FuzzSummary Summary;
-  std::vector<FuzzVariant> Variants = fuzzScheduleVariants(Options.Gen);
   unsigned Runs = Options.CaseSeeds.empty()
                       ? Options.Runs
                       : unsigned(Options.CaseSeeds.size());
@@ -102,102 +88,50 @@ FuzzSummary helix::runFuzzCampaign(const FuzzOptions &Options) {
                                      : Options.CaseSeeds[Index];
   };
   Summary.Runs = Runs;
-  Summary.Variants.resize(Variants.size());
-  for (size_t V = 0; V != Variants.size(); ++V)
-    Summary.Variants[V].Name = Variants[V].Name;
 
   std::vector<CaseResult> Results(Runs);
-  std::vector<unsigned> VariantOf(Runs, 0);
-  if (!Options.CaseSeeds.empty() && Options.ReplayVariant < Variants.size())
-    std::fill(VariantOf.begin(), VariantOf.end(), Options.ReplayVariant);
-  // Coverage-guided scheduling: the variant draw happens at deterministic
-  // round boundaries from a dedicated RNG stream, using only the verdicts
-  // of completed rounds — so for a fixed (Seed, Runs) the schedule (and
-  // with it every module and verdict) is identical regardless of Jobs.
-  bool Guided = Options.CoverageGuided && Options.CaseSeeds.empty() &&
-                Variants.size() > 1;
-  Rng Sched(Options.Seed ^ 0xC07E6A6EDB1A5ull);
-  std::vector<uint64_t> GuideCases(Variants.size(), 0);
-  std::vector<uint64_t> GuideUntransformed(Variants.size(), 0);
-
-  unsigned Step = Guided ? std::max(1u, Options.RoundSize)
-                         : std::max(1u, Runs);
-  for (unsigned Begin = 0; Begin < Runs; Begin += Step) {
-    unsigned End = std::min(Runs, Begin + Step);
-    if (Guided) {
-      std::vector<uint64_t> Weights =
-          fuzzVariantWeights(GuideCases, GuideUntransformed);
-      uint64_t Total = 0;
-      for (uint64_t W : Weights)
-        Total += W;
-      for (unsigned I = Begin; I != End; ++I) {
-        uint64_t Pick = Sched.nextBelow(Total);
-        unsigned V = 0;
-        while (Pick >= Weights[V]) {
-          Pick -= Weights[V];
-          ++V;
-        }
-        VariantOf[I] = V;
-      }
+  parallelForEach(Options.Jobs, Runs, [&](size_t K) {
+    unsigned Index = unsigned(K);
+    obs::TraceSpan CaseSpan("fuzz.case", "fuzz");
+    obs::MetricsRegistry::global().counter("fuzz.cases").add();
+    CaseResult &R = Results[Index];
+    std::unique_ptr<Module> M =
+        generateProgram(CaseSeedOf(Index), Options.Gen);
+    R.Outcome = runDifferential(*M, Options.Diff);
+    // On an uninjected campaign a static finding fails the case even
+    // when every dynamic leg was clean, so its repro is needed too.
+    bool StaticAlarm = Options.Diff.Inject == BugInjection::None &&
+                       R.Outcome.StaticFindings != 0;
+    if (!R.Outcome.Divergence && !R.Outcome.Inconclusive && !StaticAlarm)
+      return;
+    R.ReproText = M->toString();
+    if (R.Outcome.Divergence && Options.Shrink) {
+      // The shrink oracle replays the divergence hundreds of times; make
+      // each replay as cheap as the original failure allows. A candidate
+      // whose edit created an endless loop dies on the tightened budget
+      // instead of burning the full campaign budget, and the threaded
+      // legs only run when the divergence actually needed threads.
+      DiffConfig Replay = Options.Diff;
+      Replay.MaxInstructions =
+          ExecLimits::hangBudget(R.Outcome.SeqInstructions);
+      if (R.Outcome.DivergentLeg != DiffOutcome::Leg::Threaded)
+        Replay.ThreadCounts.clear();
+      DiffOutcome::Kind Kind = R.Outcome.DivergentKind;
+      ReduceResult Reduced = reduceTestCase(*M, [&](const Module &Cand) {
+        DiffOutcome O = runDifferential(Cand, Replay);
+        return O.Divergence && O.DivergentKind == Kind;
+      });
+      R.ShrunkText = Reduced.Text;
+      R.ShrunkInstrs = Reduced.InstrsAfter;
     }
-
-    parallelForEach(Options.Jobs, End - Begin, [&](size_t K) {
-      unsigned Index = Begin + unsigned(K);
-      obs::TraceSpan CaseSpan("fuzz.case", "fuzz");
-      obs::MetricsRegistry::global().counter("fuzz.cases").add();
-      CaseResult &R = Results[Index];
-      uint64_t CaseSeed = CaseSeedOf(Index);
-      std::unique_ptr<Module> M =
-          generateProgram(CaseSeed, Variants[VariantOf[Index]].Config);
-      R.Outcome = runDifferential(*M, Options.Diff);
-      // On an uninjected campaign a static finding fails the case even
-      // when every dynamic leg was clean, so its repro is needed too.
-      bool StaticAlarm = Options.Diff.Inject == BugInjection::None &&
-                         R.Outcome.StaticFindings != 0;
-      if (!R.Outcome.Divergence && !R.Outcome.Inconclusive && !StaticAlarm)
-        return;
-      R.ReproText = M->toString();
-      if (R.Outcome.Divergence && Options.Shrink) {
-        // The shrink oracle replays the divergence hundreds of times; make
-        // each replay as cheap as the original failure allows. A candidate
-        // whose edit created an endless loop dies on the tightened budget
-        // instead of burning the full campaign budget, and the threaded
-        // legs only run when the divergence actually needed threads.
-        DiffConfig Replay = Options.Diff;
-        Replay.MaxInstructions =
-            ExecLimits::hangBudget(R.Outcome.SeqInstructions);
-        if (R.Outcome.DivergentLeg != DiffOutcome::Leg::Threaded)
-          Replay.ThreadCounts.clear();
-        DiffOutcome::Kind Kind = R.Outcome.DivergentKind;
-        ReduceResult Reduced = reduceTestCase(*M, [&](const Module &Cand) {
-          DiffOutcome O = runDifferential(Cand, Replay);
-          return O.Divergence && O.DivergentKind == Kind;
-        });
-        R.ShrunkText = Reduced.Text;
-        R.ShrunkInstrs = Reduced.InstrsAfter;
-      }
-    });
-
-    // Fold this round's coverage signal into the guide, in index order.
-    for (unsigned I = Begin; I != End; ++I) {
-      ++GuideCases[VariantOf[I]];
-      if (Results[I].Outcome.LoopsTransformed == 0)
-        ++GuideUntransformed[VariantOf[I]];
-    }
-  }
+  });
 
   for (unsigned Index = 0; Index != Runs; ++Index) {
     const CaseResult &R = Results[Index];
     Summary.LoopsAttempted += R.Outcome.LoopsAttempted;
     Summary.LoopsTransformed += R.Outcome.LoopsTransformed;
-    FuzzSummary::VariantStats &VS = Summary.Variants[VariantOf[Index]];
-    ++VS.Cases;
-    if (R.Outcome.LoopsTransformed == 0) {
+    if (R.Outcome.LoopsTransformed == 0)
       ++Summary.Untransformed;
-      ++VS.Untransformed;
-    }
-    if (R.Outcome.Divergence)
-      ++VS.Divergent;
     mergePassTimings(Summary.PassTimings, R.Outcome.PassTimings);
     mergeAnalysisCounters(Summary.AnalysisCounters, R.Outcome.AnalysisCounters);
 
@@ -235,7 +169,6 @@ FuzzSummary helix::runFuzzCampaign(const FuzzOptions &Options) {
     FuzzFailure F;
     F.CaseIndex = Index;
     F.CaseSeed = CaseSeedOf(Index);
-    F.Variant = VariantOf[Index];
     F.Inconclusive = R.Outcome.Inconclusive;
     F.StaticAlarm = StaticAlarm;
     F.DepUnsound =

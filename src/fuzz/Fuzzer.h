@@ -26,21 +26,8 @@ struct FuzzOptions {
   unsigned Runs = 100;
   /// When non-empty, run exactly these *generator* seeds (one case each);
   /// Seed/Runs are ignored. This is the replay path for a failing case:
-  /// pass the case seed a campaign printed (and its variant, below).
+  /// pass the case seed a campaign printed, with the campaign's Gen.
   std::vector<uint64_t> CaseSeeds;
-  /// Generator variant (index into fuzzScheduleVariants) applied to
-  /// CaseSeeds replays. Coverage-guided campaigns report each failure's
-  /// variant so replays reproduce the exact generator configuration.
-  unsigned ReplayVariant = 0;
-  /// Coverage-guided scheduling: pick each case's generator-configuration
-  /// variant by a weighted draw biased toward variants that historically
-  /// produced `Untransformed` cases (loops HELIX declined to parallelize —
-  /// the shapes the transform's accept/reject boundary is least exercised
-  /// on). Weights update at deterministic round boundaries, so campaigns
-  /// stay reproducible for (Seed, Runs) regardless of Jobs.
-  bool CoverageGuided = false;
-  /// Cases per scheduling round (weights update between rounds).
-  unsigned RoundSize = 32;
   /// Worker threads the cases fan out over (0 = hardware concurrency,
   /// 1 = inline). Execution policy only; results are seed-deterministic.
   unsigned Jobs = 0;
@@ -52,7 +39,7 @@ struct FuzzOptions {
   DiffConfig Diff;
 };
 
-/// One generator-configuration variant of the coverage-guided schedule.
+/// One named generator-configuration variant.
 struct FuzzVariant {
   std::string Name;
   GeneratorConfig Config;
@@ -66,20 +53,10 @@ struct FuzzVariant {
 /// replays the same configuration.
 std::vector<FuzzVariant> fuzzScheduleVariants(const GeneratorConfig &Base);
 
-/// The coverage-guided draw weights: one weight per variant, proportional
-/// to the variant's +1-smoothed historical `Untransformed` rate given
-/// per-variant case and Untransformed counts (same length, Untransformed
-/// <= Cases elementwise). Every weight is >= 1, so no variant is ever
-/// starved. Exposed so the bias itself is testable.
-std::vector<uint64_t>
-fuzzVariantWeights(const std::vector<uint64_t> &Cases,
-                   const std::vector<uint64_t> &Untransformed);
-
 /// One failing (or inconclusive) case of a campaign.
 struct FuzzFailure {
   unsigned CaseIndex = 0;
   uint64_t CaseSeed = 0;
-  unsigned Variant = 0; ///< generator variant the case was built with
   bool Inconclusive = false;
   /// The dynamic legs were clean but the static SyncChecker reported
   /// findings on an *uninjected* campaign — either a transform bug the
@@ -135,17 +112,6 @@ struct FuzzSummary {
   std::vector<LoopPassTiming> PassTimings;
   /// Analysis-cache counters aggregated over every case's transform leg.
   std::vector<AnalysisCounterReport> AnalysisCounters;
-
-  /// Per-variant coverage of the schedule (one entry per
-  /// fuzzScheduleVariants element; all cases land on variant 0 when
-  /// coverage-guided scheduling is off).
-  struct VariantStats {
-    std::string Name;
-    unsigned Cases = 0;
-    unsigned Untransformed = 0;
-    unsigned Divergent = 0;
-  };
-  std::vector<VariantStats> Variants;
 };
 
 /// Derives the generator seed of case \p Index of campaign \p Seed.

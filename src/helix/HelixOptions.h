@@ -21,7 +21,6 @@ namespace helix {
 /// truth) because the paper sweeps it independently (Figure 9's 2/4/6-core
 /// bars) while the latencies stay fixed.
 struct MachineModel {
-  bool HasSMT = true; ///< helper threads require SMT contexts
   double UnprefetchedSignalCycles = 110.0;
   double PrefetchedSignalCycles = 4.0;
   double WordTransferCycles = 110.0;
@@ -37,10 +36,6 @@ struct HelixOptions {
   bool EnableSignalOpt = true;   ///< Step 6: signal minimization
   bool EnableHelperThreads = true; ///< Step 8: SMT signal prefetching
   bool EnableBalancing = true;     ///< Step 8: Figure-6 spacing scheduler
-  /// Step 2 sharpening: value-range/congruence refinement of the
-  /// dependence set (src/analysis/ValueRange). Off reproduces the
-  /// points-to + ZIV/SIV-only DDG.
-  bool EnableRangeRefinement = true;
   // Note: the signal latency assumed by the loop-*selection* model is not a
   // transform knob; it lives in SelectionConfig::SignalCycles
   // (pipeline/PipelineConfig.h), the single source of truth.

@@ -23,17 +23,15 @@ namespace {
 /// prologues themselves execute sequentially, ordered by the IterStart
 /// control signal, so only data forwarding (Step 7) is needed for them.
 std::vector<DataDependence> computeDeps(AnalysisManager &AM, Function *F,
-                                        Loop *L, DependenceStats &StatsOut,
-                                        bool UseRanges) {
+                                        Loop *L, DependenceStats &StatsOut) {
   const CFGInfo &CFG = AM.get<CFGInfo>(F);
   const DominatorTree &DT = AM.get<DominatorTree>(F);
   const Liveness &LV = AM.get<Liveness>(F);
-  const ValueRangeAnalysis *VR =
-      UseRanges ? &AM.get<ValueRangeAnalysis>(F) : nullptr;
+  const ValueRangeAnalysis &VR = AM.get<ValueRangeAnalysis>(F);
   LoopVarAnalysis Vars(F, L, DT);
   LoopDependenceAnalysis DDA(F, L, CFG, DT, LV, Vars,
                              AM.get<PointsToAnalysis>(),
-                             AM.get<MemEffects>(), VR);
+                             AM.get<MemEffects>(), &VR);
   StatsOut = DDA.stats();
   return DDA.toSynchronize();
 }
@@ -120,7 +118,7 @@ class DependencePass : public LoopPass {
 public:
   const char *name() const override { return "dependence"; }
   PassResult run(AnalysisManager &AM, LoopPassState &S) override {
-    S.Deps = computeDeps(AM, S.F, S.L, S.Stats, S.Opts.EnableRangeRefinement);
+    S.Deps = computeDeps(AM, S.F, S.L, S.Stats);
     return preservingAll();
   }
 };
@@ -169,7 +167,7 @@ public:
       S.NL = normalizeLoop(AM, S.F, S.Header);
       assert(S.NL.Valid && "inlining destroyed the loop");
       S.L = findLoop(AM.get<LoopInfo>(S.F), S.Header);
-      S.Deps = computeDeps(AM, S.F, S.L, S.Stats, S.Opts.EnableRangeRefinement);
+      S.Deps = computeDeps(AM, S.F, S.L, S.Stats);
     }
     return preservingAll();
   }

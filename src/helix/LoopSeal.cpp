@@ -1,29 +1,9 @@
 #include "helix/ParallelLoopInfo.h"
+#include "support/Hash.h"
 
 #include <cstring>
 
 using namespace helix;
-
-namespace {
-
-struct Fnv1a {
-  uint64_t H = 0xcbf29ce484222325ull;
-  void bytes(const void *P, size_t N) {
-    const unsigned char *C = static_cast<const unsigned char *>(P);
-    for (size_t I = 0; I != N; ++I) {
-      H ^= C[I];
-      H *= 0x100000001b3ull;
-    }
-  }
-  void u64(uint64_t V) { bytes(&V, sizeof V); }
-  void u32(uint32_t V) { bytes(&V, sizeof V); }
-  void str(const std::string &S) {
-    bytes(S.data(), S.size());
-    u32(0); // length terminator, so "ab"+"c" != "a"+"bc"
-  }
-};
-
-} // namespace
 
 uint64_t helix::computeLoopBodySeal(const ParallelLoopInfo &PLI) {
   Fnv1a H;

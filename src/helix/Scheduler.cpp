@@ -27,8 +27,7 @@ struct LocalDAG {
     Succs.resize(N);
 
     auto IsMemBarrier = [](const Instruction *I) {
-      return I->isSync() || I->isCall() || I->opcode() == Opcode::IterStart ||
-             I->opcode() == Opcode::MemFence;
+      return I->isSync() || I->isCall() || I->opcode() == Opcode::IterStart;
     };
     auto TouchesMemory = [&](const Instruction *I) {
       return I->mayReadMemory() || I->mayWriteMemory() || IsMemBarrier(I);

@@ -47,8 +47,6 @@ public:
   // --- Blocks ---------------------------------------------------------------
   /// Creates a block; the first one created is the entry block.
   BasicBlock *createBlock(std::string BlockName = "");
-  /// Removes and destroys \p BB. The caller must have rewired all edges.
-  void eraseBlock(BasicBlock *BB);
 
   BasicBlock *entry() const {
     assert(!Blocks.empty() && "function has no blocks");
@@ -58,10 +56,6 @@ public:
   BasicBlock *block(unsigned Idx) const { return Blocks[Idx].get(); }
   /// Finds a block by name; returns null if absent.
   BasicBlock *findBlock(const std::string &BlockName) const;
-
-  /// Moves \p BB to just after \p After in the block list (layout order only;
-  /// does not affect CFG edges).
-  void moveBlockAfter(BasicBlock *BB, BasicBlock *After);
 
   class block_iterator {
   public:

@@ -10,8 +10,6 @@
 
 #include "support/Compiler.h"
 
-#include <algorithm>
-
 using namespace helix;
 
 //===----------------------------------------------------------------------===//
@@ -100,8 +98,6 @@ const char *helix::opcodeName(Opcode Op) {
     return "signal";
   case Opcode::IterStart:
     return "iterstart";
-  case Opcode::MemFence:
-    return "fence";
   case Opcode::Nop:
     return "nop";
   }
@@ -110,24 +106,6 @@ const char *helix::opcodeName(Opcode Op) {
 
 bool helix::isTerminatorOpcode(Opcode Op) {
   return Op == Opcode::Br || Op == Opcode::CondBr || Op == Opcode::Ret;
-}
-
-bool helix::opcodeHasDest(Opcode Op) {
-  switch (Op) {
-  case Opcode::Store:
-  case Opcode::Br:
-  case Opcode::CondBr:
-  case Opcode::Ret:
-  case Opcode::Wait:
-  case Opcode::SignalOp:
-  case Opcode::IterStart:
-  case Opcode::MemFence:
-  case Opcode::Nop:
-    return false;
-  case Opcode::Call: // optional
-  default:
-    return true;
-  }
 }
 
 bool helix::isBinaryOpcode(Opcode Op) {
@@ -152,24 +130,6 @@ bool helix::isBinaryOpcode(Opcode Op) {
   case Opcode::CmpLE:
   case Opcode::CmpGT:
   case Opcode::CmpGE:
-  case Opcode::FCmpEQ:
-  case Opcode::FCmpNE:
-  case Opcode::FCmpLT:
-  case Opcode::FCmpLE:
-  case Opcode::FCmpGT:
-  case Opcode::FCmpGE:
-    return true;
-  default:
-    return false;
-  }
-}
-
-bool helix::isFloatOpcode(Opcode Op) {
-  switch (Op) {
-  case Opcode::FAdd:
-  case Opcode::FSub:
-  case Opcode::FMul:
-  case Opcode::FDiv:
   case Opcode::FCmpEQ:
   case Opcode::FCmpNE:
   case Opcode::FCmpLT:
@@ -279,30 +239,11 @@ BasicBlock *Function::createBlock(std::string BlockName) {
   return Blocks.back().get();
 }
 
-void Function::eraseBlock(BasicBlock *BB) {
-  auto It = std::find_if(Blocks.begin(), Blocks.end(),
-                         [&](const auto &P) { return P.get() == BB; });
-  assert(It != Blocks.end() && "block not in function");
-  Blocks.erase(It);
-}
-
 BasicBlock *Function::findBlock(const std::string &BlockName) const {
   for (const auto &BB : Blocks)
     if (BB->name() == BlockName)
       return BB.get();
   return nullptr;
-}
-
-void Function::moveBlockAfter(BasicBlock *BB, BasicBlock *After) {
-  auto It = std::find_if(Blocks.begin(), Blocks.end(),
-                         [&](const auto &P) { return P.get() == BB; });
-  assert(It != Blocks.end() && "block not in function");
-  std::unique_ptr<BasicBlock> Owned = std::move(*It);
-  Blocks.erase(It);
-  auto AfterIt = std::find_if(Blocks.begin(), Blocks.end(),
-                              [&](const auto &P) { return P.get() == After; });
-  assert(AfterIt != Blocks.end() && "anchor block not in function");
-  Blocks.insert(AfterIt + 1, std::move(Owned));
 }
 
 unsigned Function::numInstrs() const {

@@ -418,7 +418,6 @@ bool Parser::parseInstruction(Function *F, BasicBlock *BB,
     break;
   }
   case Opcode::IterStart:
-  case Opcode::MemFence:
   case Opcode::Nop:
     break;
   case Opcode::Store:

@@ -92,12 +92,6 @@ public:
   bool isSync() const {
     return Op == Opcode::Wait || Op == Opcode::SignalOp;
   }
-  /// \returns true for instructions the scheduler must never reorder:
-  /// terminators, synchronization, calls, and iteration-start markers.
-  bool isSchedulingBarrier() const {
-    return isTerminator() || isSync() || isCall() ||
-           Op == Opcode::IterStart || Op == Opcode::MemFence;
-  }
 
 private:
   Opcode Op;

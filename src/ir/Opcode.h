@@ -71,8 +71,6 @@ enum class Opcode : uint8_t {
   /// Marks the start of the loop body: the point at which the next
   /// iteration's prologue may begin on the successor core (Step 3).
   IterStart,
-  /// Memory barrier for platforms without total store ordering (§2.3).
-  MemFence,
   // No operation (placeholder produced by some rewrites).
   Nop,
 };
@@ -83,14 +81,8 @@ const char *opcodeName(Opcode Op);
 /// \returns true for Br, CondBr and Ret.
 bool isTerminatorOpcode(Opcode Op);
 
-/// \returns true if the opcode defines a destination register.
-bool opcodeHasDest(Opcode Op);
-
 /// \returns true for binary arithmetic/comparison opcodes.
 bool isBinaryOpcode(Opcode Op);
-
-/// \returns true for the floating-point arithmetic/compare opcodes.
-bool isFloatOpcode(Opcode Op);
 
 } // namespace helix
 

@@ -82,7 +82,6 @@ std::string checkInstr(const Function &F, const BasicBlock &BB,
       return Fail("segment id out of range [0, 63]");
     break;
   case Opcode::IterStart:
-  case Opcode::MemFence:
   case Opcode::Nop:
     if (I.numOperands() != 0 || I.hasDest())
       return Fail("nullary op takes no operands");
@@ -110,15 +109,14 @@ std::string checkInstr(const Function &F, const BasicBlock &BB,
 /// Is \p BB on a CFG cycle, i.e. can it reach itself through at least one
 /// edge? Iterative DFS over successors; no allocation beyond the visit set.
 bool onCycle(const BasicBlock *BB) {
-  std::vector<BasicBlock *> Start = BB->successors();
-  std::vector<const BasicBlock *> Stack(Start.begin(), Start.end());
+  std::vector<BasicBlock *> Stack = BB->successors();
   std::set<const BasicBlock *> Seen(Stack.begin(), Stack.end());
   while (!Stack.empty()) {
     const BasicBlock *Cur = Stack.back();
     Stack.pop_back();
     if (Cur == BB)
       return true;
-    for (const BasicBlock *Succ : Cur->successors())
+    for (BasicBlock *Succ : Cur->successors())
       if (Seen.insert(Succ).second)
         Stack.push_back(Succ);
   }

@@ -1,6 +1,7 @@
 #include "pipeline/StageCache.h"
 
 #include "ir/Module.h"
+#include "support/Hash.h"
 
 #include <cstdio>
 #include <cstring>
@@ -44,15 +45,6 @@ std::string hex64(uint64_t V) {
 }
 
 } // namespace
-
-uint64_t StageCache::fnv1a(const std::string &Data) {
-  uint64_t H = 1469598103934665603ull;
-  for (unsigned char C : Data) {
-    H ^= C;
-    H *= 1099511628211ull;
-  }
-  return H;
-}
 
 std::string StageCache::moduleFingerprint(const Module &M) {
   std::ostringstream OS;

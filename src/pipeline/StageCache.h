@@ -91,9 +91,6 @@ public:
                                const std::string &ChainKey,
                                const std::string &ModuleFingerprint);
 
-  /// 64-bit FNV-1a, the cache's sole hash.
-  static uint64_t fnv1a(const std::string &Data);
-
   /// Fingerprint of a module: FNV-1a over its printed IR, hex-encoded.
   /// Exact — any textual change to the program invalidates every entry
   /// derived from it.

@@ -26,18 +26,18 @@ namespace {
 
 std::string machineKey(const MachineModel &M) {
   char Buf[160];
-  std::snprintf(Buf, sizeof(Buf), "u%.17g,p%.17g,w%.17g,c%.17g,smt%d",
+  std::snprintf(Buf, sizeof(Buf), "u%.17g,p%.17g,w%.17g,c%.17g",
                 M.UnprefetchedSignalCycles, M.PrefetchedSignalCycles,
-                M.WordTransferCycles, M.LoopConfigCycles, int(M.HasSMT));
+                M.WordTransferCycles, M.LoopConfigCycles);
   return Buf;
 }
 
 std::string transformKey(const HelixOptions &O) {
   char Buf[64];
-  std::snprintf(Buf, sizeof(Buf), "i%d,s%d,o%d,h%d,b%d,r%d;",
+  std::snprintf(Buf, sizeof(Buf), "i%d,s%d,o%d,h%d,b%d;",
                 int(O.EnableInlining), int(O.EnableScheduling),
                 int(O.EnableSignalOpt), int(O.EnableHelperThreads),
-                int(O.EnableBalancing), int(O.EnableRangeRefinement));
+                int(O.EnableBalancing));
   return Buf + machineKey(O.Machine);
 }
 

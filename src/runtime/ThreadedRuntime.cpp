@@ -107,8 +107,6 @@ struct WorkerHooks : DefaultExecHooks {
     return true;
   }
 
-  void fence() { std::atomic_thread_fence(std::memory_order_seq_cst); }
-
   ExecContext &Ctx;
   Invocation &Inv;
   uint64_t IterIdx;
@@ -136,8 +134,6 @@ struct LoopEntryHooks : DefaultExecHooks {
     }
     return true;
   }
-
-  void fence() { std::atomic_thread_fence(std::memory_order_seq_cst); }
 
   ExecContext &Ctx;
   const std::vector<const ParallelLoopInfo *> &Loops;

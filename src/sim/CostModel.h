@@ -44,7 +44,6 @@ inline unsigned opcodeCycles(Opcode Op) {
   case Opcode::SignalOp:
     return 1; // local cost; stall cycles are added by the simulator
   case Opcode::IterStart:
-  case Opcode::MemFence:
   case Opcode::Nop:
     return 1;
   default:

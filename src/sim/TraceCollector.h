@@ -38,12 +38,6 @@ struct LoopTraces {
       Sum += Inv.SeqCycles;
     return Sum;
   }
-  uint64_t totalIterations() const {
-    uint64_t Sum = 0;
-    for (const InvocationTrace &Inv : Invocations)
-      Sum += Inv.Iterations.size();
-    return Sum;
-  }
 };
 
 class TraceCollector : public ExecObserver {

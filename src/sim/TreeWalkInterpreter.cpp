@@ -347,7 +347,6 @@ bool TreeWalkInterpreter::step(ExecResult &R) {
   case Opcode::Wait:
   case Opcode::SignalOp:
   case Opcode::IterStart:
-  case Opcode::MemFence:
   case Opcode::Nop:
     // Sequentially these are no-ops; the parallel engines give them their
     // synchronization semantics.

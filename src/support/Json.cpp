@@ -96,11 +96,6 @@ double Json::getDouble(const std::string &Key, double Default) const {
   return V && V->isNumber() ? V->asDouble() : Default;
 }
 
-bool Json::getBool(const std::string &Key, bool Default) const {
-  const Json *V = find(Key);
-  return V && V->isBool() ? V->asBool() : Default;
-}
-
 std::string Json::getString(const std::string &Key,
                             const std::string &Default) const {
   const Json *V = find(Key);

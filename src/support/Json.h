@@ -73,11 +73,9 @@ public:
   }
 
   // Typed member lookups: value when present and of the right kind, else
-  // the fallback. The Found flag (when non-null) distinguishes "absent"
-  // from "present with the fallback value" for strict parsers.
+  // the fallback.
   int64_t getInt(const std::string &Key, int64_t Default = 0) const;
   double getDouble(const std::string &Key, double Default = 0) const;
-  bool getBool(const std::string &Key, bool Default = false) const;
   std::string getString(const std::string &Key,
                         const std::string &Default = std::string()) const;
 

@@ -9,8 +9,7 @@
 /// branchy integer code with irregular updates, and so on. Iteration
 /// bodies carry SPEC-like work (tens to hundreds of cycles), which is what
 /// makes the 110-cycle inter-core signal latency amortizable for the loops
-/// HELIX should pick — and fatal for the ones it should reject. See
-/// DESIGN.md's substitution table.
+/// HELIX should pick — and fatal for the ones it should reject.
 ///
 //===----------------------------------------------------------------------===//
 

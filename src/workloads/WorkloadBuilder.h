@@ -7,10 +7,10 @@
 /// synthesized from the loop idioms that dominate each benchmark (array
 /// sweeps, reductions, pointer chasing, histogramming, stencils, branchy
 /// conditional updates, loop nests), parameterized per benchmark to match
-/// the published loop characteristics (Table 1) — see DESIGN.md's
-/// substitution table. Every program is deterministic and returns a
-/// checksum, which the differential tests compare across sequential,
-/// transformed-sequential and threaded-parallel executions.
+/// the published loop characteristics (Table 1). Every program is
+/// deterministic and returns a checksum, which the differential tests
+/// compare across sequential, transformed-sequential and threaded-parallel
+/// executions.
 ///
 //===----------------------------------------------------------------------===//
 

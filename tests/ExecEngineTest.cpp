@@ -269,7 +269,7 @@ TEST(ExecEngine, DecodeCacheHitsAndInvalidation) {
   Module &M = *P.M;
 
   DecodeCache &Cache = DecodeCache::global();
-  Cache.invalidate(M);
+  Cache.clear();
   uint64_t Decodes0 = Cache.decodes(), Hits0 = Cache.hits();
 
   auto A = Cache.get(M);
@@ -468,8 +468,7 @@ entry:
             ExecProgram::fingerprintModule(*P2.M));
 
   DecodeCache &Cache = DecodeCache::global();
-  Cache.invalidate(*P1.M);
-  Cache.invalidate(*P2.M);
+  Cache.clear();
   uint64_t Decodes0 = Cache.decodes(), BodyHits0 = Cache.bodyHits();
 
   auto A = Cache.get(*P1.M);

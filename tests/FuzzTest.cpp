@@ -19,7 +19,6 @@
 #include "ir/IRParser.h"
 #include "ir/Verifier.h"
 #include "sim/Interpreter.h"
-#include "support/Random.h"
 
 #include <gtest/gtest.h>
 
@@ -377,98 +376,41 @@ TEST(Campaign, CaseSeedReplayReproducesExactCase) {
   EXPECT_EQ(R.Failures[0].ReproText, S.Failures[0].ReproText);
 }
 
-TEST(Campaign, CoverageGuidedIsDeterministicAcrossWorkerCounts) {
-  FuzzOptions A;
-  A.Seed = 101;
-  A.Runs = 24;
-  A.RoundSize = 8;
-  A.CoverageGuided = true;
-  A.Jobs = 1;
-  A.Shrink = false;
-  A.Diff.ThreadCounts = {2};
-  FuzzOptions B = A;
-  B.Jobs = 4; // execution policy only: the schedule must not change
-  FuzzSummary SA = runFuzzCampaign(A);
-  FuzzSummary SB = runFuzzCampaign(B);
-  EXPECT_EQ(SA.Clean, SB.Clean);
-  EXPECT_EQ(SA.Divergent, SB.Divergent);
-  EXPECT_EQ(SA.LoopsAttempted, SB.LoopsAttempted);
-  EXPECT_EQ(SA.LoopsTransformed, SB.LoopsTransformed);
-  ASSERT_EQ(SA.Variants.size(), SB.Variants.size());
-  unsigned Total = 0;
-  for (size_t K = 0; K != SA.Variants.size(); ++K) {
-    EXPECT_EQ(SA.Variants[K].Name, SB.Variants[K].Name);
-    EXPECT_EQ(SA.Variants[K].Cases, SB.Variants[K].Cases);
-    EXPECT_EQ(SA.Variants[K].Untransformed, SB.Variants[K].Untransformed);
-    Total += SA.Variants[K].Cases;
-  }
-  EXPECT_EQ(Total, SA.Runs); // every case landed on exactly one variant
-}
-
-TEST(Campaign, CoverageGuidedFailureReplaysWithItsVariant) {
-  // A coverage-guided campaign names the variant of each failing case;
-  // --case-seed plus that variant must regenerate the very same module.
+TEST(Campaign, VariantFailureReplaysWithItsVariant) {
+  // A campaign built on a non-base variant (what --gen-variant 1 sets up):
+  // every case is generated from that variant's configuration, and a
+  // case-seed replay with the same Gen regenerates the very module of a
+  // failing case.
+  std::vector<FuzzVariant> Variants = fuzzScheduleVariants(GeneratorConfig());
+  ASSERT_EQ(Variants[1].Name, "flat");
   FuzzOptions Campaign;
   Campaign.Seed = 13;
   Campaign.Runs = 6;
-  Campaign.RoundSize = 2;
-  Campaign.CoverageGuided = true;
+  Campaign.Gen = Variants[1].Config;
   Campaign.Shrink = false;
   Campaign.Diff.ThreadCounts = {2};
   Campaign.Diff.Inject = BugInjection::FlipFirstBodyOp;
   FuzzSummary S = runFuzzCampaign(Campaign);
   ASSERT_FALSE(S.Failures.empty());
   const FuzzFailure &F = S.Failures[0];
-  EXPECT_LT(F.Variant, fuzzScheduleVariants(Campaign.Gen).size());
+  EXPECT_EQ(F.ReproText,
+            generateProgram(F.CaseSeed, Variants[1].Config)->toString());
 
   FuzzOptions Replay = Campaign;
-  Replay.CoverageGuided = false;
   Replay.CaseSeeds = {F.CaseSeed};
-  Replay.ReplayVariant = F.Variant;
   FuzzSummary R = runFuzzCampaign(Replay);
   ASSERT_EQ(R.Failures.size(), 1u);
   EXPECT_EQ(R.Failures[0].ReproText, F.ReproText);
   EXPECT_EQ(R.Failures[0].Detail, F.Detail);
 }
 
-TEST(Campaign, CoverageGuidedBiasFollowsUntransformedRate) {
-  // The weighting favours variants with a higher historical rate of
-  // Untransformed verdicts: a variant whose cases all failed to transform
-  // must draw strictly more weight than one whose cases all transformed,
-  // and with history all-zero the split is uniform (pure exploration).
-  std::vector<uint64_t> Uniform = fuzzVariantWeights({0, 0, 0}, {0, 0, 0});
-  EXPECT_EQ(Uniform[0], Uniform[1]);
-  EXPECT_EQ(Uniform[1], Uniform[2]);
-
-  // 10 cases each; variant 1 never transformed, variant 0 always did,
-  // variant 2 is untried.
-  std::vector<uint64_t> W = fuzzVariantWeights({10, 10, 0}, {0, 10, 0});
-  EXPECT_GT(W[1], W[0] * 5); // rate 100% vs 0%: heavily favoured
-  EXPECT_GT(W[2], W[0]);     // untried stays attractive (exploration)
-  EXPECT_GE(W[0], 1u);       // but nothing is starved
-  EXPECT_GE(W[1], W[2]);
-
-  // Drawing with those weights skews the schedule accordingly (same draw
-  // loop the campaign uses).
-  Rng Draw(42);
-  uint64_t Total = W[0] + W[1] + W[2];
-  std::vector<unsigned> Picked(3, 0);
-  for (unsigned I = 0; I != 3000; ++I) {
-    uint64_t Pick = Draw.nextBelow(Total);
-    unsigned V = 0;
-    while (Pick >= W[V]) {
-      Pick -= W[V];
-      ++V;
-    }
-    ++Picked[V];
-  }
-  EXPECT_GT(Picked[1], Picked[0] * 4);
-  EXPECT_GT(Picked[1], Picked[2]);
-
+TEST(Campaign, VariantTableIsDeterministic) {
   // Variant configs are derived deterministically: two calls agree, and
-  // the table contains the shapes the schedule is meant to explore.
+  // variant 0 is the base configuration itself.
   std::vector<FuzzVariant> Variants = fuzzScheduleVariants(GeneratorConfig());
   ASSERT_GE(Variants.size(), 2u);
+  EXPECT_EQ(Variants[0].Name, "base");
+  EXPECT_EQ(Variants[0].Config.MaxLoopDepth, GeneratorConfig().MaxLoopDepth);
   EXPECT_EQ(Variants[1].Name, "flat");
   EXPECT_EQ(Variants[1].Config.MaxLoopDepth, 1u);
   std::vector<FuzzVariant> Again = fuzzScheduleVariants(GeneratorConfig());

@@ -281,6 +281,15 @@ TEST(Parser, ReportsUnknownOpcode) {
   EXPECT_NE(R.Error.find("unknown opcode"), std::string::npos);
 }
 
+TEST(Parser, RejectsFence) {
+  // HELIX targets a TSO machine (Section 2.3): Signal/Wait need no memory
+  // barrier, so the IR has no fence instruction.
+  ParseResult R = parseModule("func @f(0) {\nentry:\n  fence\n  ret\n}\n");
+  EXPECT_FALSE(R.succeeded());
+  EXPECT_NE(R.Error.find("unknown opcode 'fence'"), std::string::npos)
+      << R.Error;
+}
+
 TEST(Parser, ReportsUnknownLabel) {
   ParseResult R = parseModule("func @f(0) {\nentry:\n  br nowhere\n}\n");
   EXPECT_FALSE(R.succeeded());
@@ -294,7 +303,7 @@ TEST(Parser, ReportsDuplicateFunction) {
 
 TEST(Parser, SyncOpsRoundTrip) {
   const char *Text = "func @f(0) {\nentry:\n  wait 3\n  signal 3\n"
-                     "  iterstart\n  fence\n  ret\n}\n";
+                     "  iterstart\n  ret\n}\n";
   ParseResult R = parseModule(Text);
   ASSERT_TRUE(R.succeeded()) << R.Error;
   Function *F = R.M->findFunction("f");

@@ -210,7 +210,7 @@ TEST(Interpreter, InstructionBudgetStopsRunaway) {
 
 TEST(Interpreter, SyncOpsAreSequentialNoOps) {
   const char *Text = "func @main(0) {\nentry:\n  wait 0\n  signal 0\n"
-                     "  iterstart\n  fence\n  ret 99\n}\n";
+                     "  iterstart\n  ret 99\n}\n";
   ParseResult P = parseModule(Text);
   ASSERT_TRUE(P.succeeded()) << P.Error;
   Interpreter I(*P.M);

@@ -345,9 +345,6 @@ TEST(FuzzJson, SummaryShape) {
   S.Divergent = 1;
   S.StaticAlarms = 1;
   S.LoopsTransformed = 14;
-  S.Variants.resize(1);
-  S.Variants[0].Name = "base";
-  S.Variants[0].Cases = 10;
   FuzzFailure F;
   F.CaseIndex = 3;
   F.CaseSeed = 0xDEAD;
@@ -360,10 +357,6 @@ TEST(FuzzJson, SummaryShape) {
   EXPECT_EQ(Doc.getInt("divergent", 0), 1);
   EXPECT_EQ(Doc.getInt("loops_transformed", 0), 14);
   ASSERT_NE(Doc.find("static_check"), nullptr);
-  const Json *Variants = Doc.find("variants");
-  ASSERT_NE(Variants, nullptr);
-  ASSERT_EQ(Variants->elements().size(), 1u);
-  EXPECT_EQ(Variants->elements()[0].getString("name"), "base");
   const Json *Failures = Doc.find("failures");
   ASSERT_NE(Failures, nullptr);
   ASSERT_EQ(Failures->elements().size(), 1u);

@@ -47,10 +47,11 @@ void usage() {
       "  --runs N          number of generated programs (default 100)\n"
       "  --case-seed X     replay exactly this generator seed (repeatable;\n"
       "                    overrides --seed/--runs)\n"
-      "  --gen-variant N   generator variant for --case-seed replays (a\n"
-      "                    coverage-guided failure names its variant)\n"
-      "  --coverage-guided bias case scheduling toward generator variants\n"
-      "                    that historically produced untransformed loops\n"
+      "  --gen-variant N   build every case, in a campaign or a --case-seed\n"
+      "                    replay, with generator variant N (default 0, the\n"
+      "                    base configuration; 0-7: base, flat, deep-nest,\n"
+      "                    many-kernels, short-trip, long-trip, buffers,\n"
+      "                    plain)\n"
       "  --replay FILE     run the differential oracle on a saved .ir repro\n"
       "                    (repeatable; overrides seed-based generation)\n"
       "  --jobs N          worker threads (0 = hardware, default)\n"
@@ -164,6 +165,7 @@ int replayFiles(const std::vector<std::string> &Files, const DiffConfig &C) {
 
 int main(int argc, char **argv) {
   FuzzOptions Opt;
+  unsigned GenVariant = 0;
   std::vector<std::string> ReplayFilesList;
   bool RequireStaticCatch = false;
   bool RequireDepSound = false;
@@ -227,9 +229,7 @@ int main(int argc, char **argv) {
         std::fprintf(stderr, "helix-fuzz: bad --gen-variant\n");
         return 2;
       }
-      Opt.ReplayVariant = unsigned(N);
-    } else if (Arg == "--coverage-guided") {
-      Opt.CoverageGuided = true;
+      GenVariant = unsigned(N);
     } else if (Arg == "--replay") {
       ReplayFilesList.push_back(NeedValue());
     } else if (Arg == "--corpus") {
@@ -274,16 +274,17 @@ int main(int argc, char **argv) {
     }
   }
 
-  size_t NumVariants = fuzzScheduleVariants(Opt.Gen).size();
-  if (Opt.ReplayVariant >= NumVariants) {
+  std::vector<FuzzVariant> Variants = fuzzScheduleVariants(Opt.Gen);
+  if (GenVariant >= Variants.size()) {
     // Falling back to the base config here would silently regenerate a
     // different module than the failing case and report it "fixed".
     std::fprintf(stderr,
                  "helix-fuzz: --gen-variant %u out of range (the variant "
                  "table has %zu entries, 0-%zu)\n",
-                 Opt.ReplayVariant, NumVariants, NumVariants - 1);
+                 GenVariant, Variants.size(), Variants.size() - 1);
     return 2;
   }
+  Opt.Gen = Variants[GenVariant].Config;
 
   if (!TraceOutPath.empty())
     obs::TraceRecorder::global().setEnabled(true);
@@ -364,14 +365,6 @@ int main(int argc, char **argv) {
               "%u cases with no transformed loop\n",
               (unsigned long long)S.LoopsAttempted,
               (unsigned long long)S.LoopsTransformed, S.Untransformed);
-  if (Opt.CoverageGuided) {
-    std::printf("schedule:");
-    for (const FuzzSummary::VariantStats &V : S.Variants)
-      if (V.Cases)
-        std::printf(" %s=%u(%u untransformed)", V.Name.c_str(), V.Cases,
-                    V.Untransformed);
-    std::printf("\n");
-  }
   if (!S.PassTimings.empty()) {
     std::printf("transform pass time:");
     for (const LoopPassTiming &T : S.PassTimings)
@@ -379,6 +372,8 @@ int main(int argc, char **argv) {
     std::printf("\n");
   }
   printAnalysisCounters(S.AnalysisCounters);
+  std::string VariantFlag =
+      GenVariant ? formatStr(" --gen-variant %u", GenVariant) : "";
   for (const FuzzFailure &F : S.Failures) {
     std::printf("%s case %u (case seed 0x%llx, replay with "
                 "--case-seed 0x%llx%s): %s\n",
@@ -389,9 +384,7 @@ int main(int argc, char **argv) {
                 F.CaseIndex,
                 (unsigned long long)F.CaseSeed,
                 (unsigned long long)F.CaseSeed,
-                F.Variant ? formatStr(" --gen-variant %u", F.Variant).c_str()
-                          : "",
-                F.Detail.c_str());
+                VariantFlag.c_str(), F.Detail.c_str());
     if (!F.ReproPath.empty())
       std::printf("  repro: %s\n", F.ReproPath.c_str());
     if (F.ShrunkInstrs)
